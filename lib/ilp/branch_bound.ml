@@ -4,8 +4,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type value_order = One_first | Zero_first
 
-type node_order = Depth_first | Best_bound
-
 type branch_rule = lp_solution:float array -> is_fixed:(int -> bool) -> int option
 
 type hook_result =
@@ -21,7 +19,6 @@ type options = {
   time_limit : float;
   branch_rule : branch_rule option;
   value_order : value_order;
-  node_order : node_order;
   integral_objective : bool;
   int_tol : float;
   on_incumbent : (float -> float array -> unit) option;
@@ -55,7 +52,6 @@ let default_options =
     time_limit = Float.infinity;
     branch_rule = None;
     value_order = One_first;
-    node_order = Depth_first;
     integral_objective = false;
     int_tol = 1e-6;
     on_incumbent = None;
@@ -232,9 +228,8 @@ type node = {
   n_basis : Simplex.basis option;
       (* the parent's optimal basis, shipped with the node in pool mode
          so a stealing worker warm-starts its dual simplex instead of
-         cold-solving; [None] on the sequential path (the engine already
-         sits on a useful basis there). Shared physically between
-         siblings. *)
+         cold-solving; [None] at [jobs = 1] (the engine already sits on a
+         useful basis there). Shared physically between siblings. *)
 }
 
 let pp_outcome ppf = function
@@ -246,76 +241,12 @@ let pp_outcome ppf = function
   | Limit_reached { best = None; bound } ->
     Format.fprintf ppf "limit reached (no incumbent, bound = %g)" bound
 
-(* Simple binary min-heap on (key, node) for best-bound search. *)
-module Heap = struct
-  type 'a t = { mutable data : (float * 'a) array; mutable size : int }
-
-  let create () = { data = [||]; size = 0 }
-
-  let push h key v =
-    if h.size = Array.length h.data then begin
-      let ncap = Int.max 16 (2 * h.size) in
-      let d = Array.make ncap (key, v) in
-      Array.blit h.data 0 d 0 h.size;
-      h.data <- d
-    end;
-    h.data.(h.size) <- (key, v);
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let p = (!i - 1) / 2 in
-      if fst h.data.(!i) < fst h.data.(p) then begin
-        let t = h.data.(!i) in
-        h.data.(!i) <- h.data.(p);
-        h.data.(p) <- t;
-        i := p
-      end
-      else continue := false
-    done
-
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      if h.size > 0 then begin
-        h.data.(0) <- h.data.(h.size);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let smallest = ref !i in
-          if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then
-            smallest := l;
-          if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then
-            smallest := r;
-          if !smallest <> !i then begin
-            let t = h.data.(!i) in
-            h.data.(!i) <- h.data.(!smallest);
-            h.data.(!smallest) <- t;
-            i := !smallest
-          end
-          else continue := false
-        done
-      end;
-      Some top
-    end
-
-  let fold f init h =
-    let acc = ref init in
-    for i = 0 to h.size - 1 do
-      acc := f !acc (fst h.data.(i))
-    done;
-    !acc
-end
-
 (* Node-deduction state shared by every search context of one solve.
    The counters are atomics (workers bump them concurrently); the
    propagation kernel and the cut pool are read-only after setup. The
    root reduced-cost snapshot is only touched by the driver that owns
-   the root arrays (sequential search, or the seeding phase), before
-   any worker domain exists. *)
+   the root arrays (the depth-first phase on the calling domain),
+   before any worker domain exists. *)
 type dstate = {
   d_prop : Propagate.t option;  (* rows + pool cuts, for node propagation *)
   d_cuts : (Cuts.pool * int * int * int) option;
@@ -365,7 +296,7 @@ let deduction_totals ded =
 
 (* Certification counters, bumped concurrently by workers. The root
    certificate slot is only written while the root node is processed —
-   on the sequential driver or the seeding phase, before any worker
+   in the depth-first phase on the calling domain, before any worker
    domain exists — and only read after every domain has joined. *)
 type cstate = {
   c_checked : int Atomic.t;
@@ -792,9 +723,8 @@ type step =
 
 (* Re-run root reduced-cost fixing against an improved incumbent: pure
    arithmetic on the root duals saved by the root solve, mutating the
-   root bound arrays in place. Only called from single-domain drivers
-   (the sequential search and the parallel seeding phase), never
-   concurrently with worker domains. *)
+   root bound arrays in place. Only called from the depth-first phase
+   on the calling domain, never concurrently with worker domains. *)
 let refix_root ctx =
   let env = ctx.env in
   if env.opts.rc_fixing then
@@ -1186,15 +1116,10 @@ let process_node ctx node =
                   if vi +. 1. <= hi_j then [ child ~br:None (vi +. 1.) hi_j ]
                   else []
                 in
-                match opts.node_order with
-                | Depth_first ->
-                  (* push the fixed child last so the dive continues
-                     through the current relaxation's value *)
-                  List.iter ctx.push others;
-                  ctx.push (child ~br:None vi vi)
-                | Best_bound ->
-                  ctx.push (child ~br:None vi vi);
-                  List.iter ctx.push others
+                (* push the fixed child last so the dive continues
+                   through the current relaxation's value *)
+                List.iter ctx.push others;
+                ctx.push (child ~br:None vi vi)
               end
               else begin
                 let down =
@@ -1206,21 +1131,15 @@ let process_node ctx node =
                     ~br:(Some (j, true, Float.ceil v -. v))
                     (Float.ceil v) hi_j
                 in
-                match (opts.node_order, opts.value_order) with
-                | Depth_first, One_first ->
+                match opts.value_order with
+                | One_first ->
                   (* stack: push the preferred child last so it pops
                      first *)
                   ctx.push down;
                   ctx.push up
-                | Depth_first, Zero_first ->
+                | Zero_first ->
                   ctx.push up;
                   ctx.push down
-                | Best_bound, One_first ->
-                  ctx.push up;
-                  ctx.push down
-                | Best_bound, Zero_first ->
-                  ctx.push down;
-                  ctx.push up
               end);
              close
                (Trace.Branched { var = j; frac = fractionality v })
@@ -1395,128 +1314,14 @@ let root_node =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Sequential driver (jobs = 1): the historical search, node for node. *)
-
-let solve_sequential env =
-  let opts = env.opts in
-  let st = Simplex.create ~backend:opts.lp_backend ~pricing:opts.lp_pricing ?lu_rule:opts.lp_lu env.lp in
-  let tw = Trace.main opts.tracer in
-  Simplex.set_trace st tw;
-  let msh = Metrics.main opts.metrics in
-  Simplex.set_metrics st msh;
-  let pivots0 = Simplex.total_pivots st in
-  let inc = new_incumbent () in
-  let nodes = ref 0 in
-  let stack : node list ref = ref [] in
-  let heap : node Heap.t = Heap.create () in
-  let push node =
-    match opts.node_order with
-    | Depth_first -> stack := node :: !stack
-    | Best_bound -> Heap.push heap node.n_bound node
-  in
-  let pop () =
-    match opts.node_order with
-    | Depth_first -> (
-      match !stack with
-      | [] -> None
-      | node :: rest ->
-        stack := rest;
-        Some node)
-    | Best_bound -> Option.map snd (Heap.pop heap)
-  in
-  (* Best lower bound among open nodes (for the Limit_reached report). *)
-  let open_bound () =
-    let from_stack =
-      List.fold_left (fun acc nd -> Float.min acc nd.n_bound) Float.infinity
-        !stack
-    in
-    let from_heap = Heap.fold Float.min Float.infinity heap in
-    Float.min from_stack from_heap
-  in
-  let ctx =
-    make_ctx env ~inc ~st ~push ~tw ~msh ~det:false ~set_root:true
-      ~bump:(fun () ->
-        incr nodes;
-        !nodes)
-      ~ship:false ~local_best:Float.infinity
-  in
-  (* Open-node gauge for the metrics sampler: racy reads of the stack
-     and heap sizes from the snapshotting domain (immutable list spine,
-     word-sized heap counter — stale but well-defined). [polling] fences
-     the closure off once the solve returns, so a later snapshot cannot
-     clobber gauges the caller publishes from the outcome. *)
-  let polling = ref true in
-  if Metrics.enabled opts.metrics then
-    Metrics.on_snapshot opts.metrics (fun () ->
-        if !polling then
-          Metrics.set_gauge opts.metrics Metrics.G_open_nodes
-            (Float.of_int (List.length !stack + heap.Heap.size)));
-  push root_node;
-  if Trace.active tw then Trace.emit tw (Trace.Span_begin "search");
-  let result = ref None in
-  let unbounded = ref false in
-  let limit node =
-    (* Drain: report the incumbent and the best open bound. *)
-    let bound = Float.min (open_bound ()) node.n_bound in
-    Limit_reached { best = inc.best; bound = finitize bound }
-  in
-  while !result = None do
-    match pop () with
-    | None ->
-      result :=
-        Some
-          (match inc.best with
-           | Some (obj, x) -> Optimal { obj; x }
-           | None -> if !unbounded then Unbounded else Infeasible)
-    | Some node ->
-      refix_root ctx;
-      (* Dual-bound convergence sample: after the pop, the global lower
-         bound is the min over the remaining frontier and this node.
-         [open_bound] walks the frontier, so sample on a cadence. *)
-      if !nodes land 31 = 0 then
-        note_bound inc opts.metrics ~t0:env.t0
-          (Float.min (open_bound ()) node.n_bound);
-      if !nodes >= opts.max_nodes || Mono.now () > env.deadline then
-        result := Some (limit node)
-      else if node.n_bound >= cutoff ctx then () (* pruned by bound *)
-      else (
-        match process_node ctx node with
-        | Step_ok -> ()
-        | Step_unbounded ->
-          unbounded := true;
-          result := Some Unbounded
-        | Step_numeric -> result := Some (limit node))
-  done;
-  if Trace.active tw then Trace.emit tw (Trace.Span_end "search");
-  polling := false;
-  let outcome = Option.get !result in
-  note_bound inc opts.metrics ~t0:env.t0 (outcome_bound outcome);
-  let stats =
-    {
-      nodes = !nodes;
-      incumbents = inc.n_incumbents;
-      pivots = Simplex.total_pivots st - pivots0;
-      max_depth = ctx.k_max_depth;
-      elapsed = Mono.elapsed_since env.t0;
-      root_obj = ctx.k_root_obj;
-      lp_stats = Simplex.stats st;
-      workers = [||];
-      deductions = deduction_totals env.ded;
-      certification = certification_totals env.cert;
-      timeline = Array.of_list (List.rev inc.timeline);
-      bound_timeline = Array.of_list (List.rev inc.bounds);
-    }
-  in
-  (outcome, stats)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel driver (jobs > 1). Phase 1 seeds a frontier sequentially on
-   the caller's engine; phase 2 spawns one domain per worker, each with
-   its own simplex engine, running depth-first on a private deque and
-   donating shallow subtrees through the shared pool when it runs
-   hungry. Deterministic mode skips the pool: seeds are dealt
-   round-robin and pruning uses only context-local bounds, so node
-   counts cannot depend on cross-domain timing. *)
+(* The tree driver. Phase 1 searches depth-first on the caller's engine:
+   with [jobs = 1] it runs to completion and is the whole search. With
+   [jobs > 1] it only seeds a frontier; phase 2 then spawns one domain
+   per worker, each with its own simplex engine, running depth-first on
+   a private deque and donating shallow subtrees through the shared
+   pool when it runs hungry. Deterministic mode skips the pool: seeds
+   are dealt round-robin and pruning uses only context-local bounds, so
+   node counts cannot depend on cross-domain timing. *)
 
 type wret = {
   r_ws : worker_stats;
@@ -1526,9 +1331,22 @@ type wret = {
   r_open : float;  (* min bound over this worker's leftover open nodes *)
 }
 
-let solve_parallel env =
+let idle_ret =
+  {
+    r_ws = zero_worker;
+    r_lp = Simplex.empty_stats;
+    r_piv = 0;
+    r_maxd = 0;
+    r_open = Float.infinity;
+  }
+
+let min_bound acc (nd : node) = Float.min acc nd.n_bound
+
+let solve_tree env =
   let opts = env.opts in
   let jobs = opts.jobs in
+  let parallel = jobs > 1 in
+  let ship = parallel && not opts.deterministic in
   let st0 = Simplex.create ~backend:opts.lp_backend ~pricing:opts.lp_pricing ?lu_rule:opts.lp_lu env.lp in
   let tw0 = Trace.main opts.tracer in
   Simplex.set_trace st0 tw0;
@@ -1538,96 +1356,64 @@ let solve_parallel env =
   let inc = new_incumbent () in
   let nodes = Atomic.make 0 in
   let bump () = Atomic.fetch_and_add nodes 1 + 1 in
+  let pool : node Pool.t option =
+    if ship then Some (Pool.create ~workers:jobs) else None
+  in
   (* 0 = running; 1 = node/time limit; 2 = unbounded; 3 = numeric. *)
   let stop_flag = Atomic.make 0 in
-  let flag_stop code = ignore (Atomic.compare_and_set stop_flag 0 code) in
-  let over_limit () =
-    Atomic.get nodes >= opts.max_nodes || Mono.now () > env.deadline
+  let stop code =
+    ignore (Atomic.compare_and_set stop_flag 0 code);
+    Option.iter Pool.stop pool
   in
-  (* Phase 1: depth-first seeding until the frontier can feed the crew. *)
+  (* One node on [ctx]: limit check, cutoff, evaluation. A node a stop
+     leaves open goes back onto [dq], so the limit bound still covers
+     it. Returns whether the node was evaluated and the search goes on. *)
+  let step ctx dq node =
+    if Atomic.get nodes >= opts.max_nodes || Mono.now () > env.deadline
+    then begin
+      Pool.Deque.push dq node;
+      stop 1;
+      false
+    end
+    else if node.n_bound >= cutoff ctx then false
+    else
+      match process_node ctx node with
+      | Step_ok -> true
+      | Step_unbounded ->
+        stop 2;
+        false
+      | Step_numeric ->
+        Pool.Deque.push dq node;
+        stop 3;
+        false
+  in
   let seed_dq : node Pool.Deque.t = Pool.Deque.create () in
   let seed_ctx =
     make_ctx env ~inc ~st:st0
       ~push:(fun nd -> Pool.Deque.push seed_dq nd)
-      ~tw:tw0 ~msh:msh0 ~det:false ~set_root:true ~bump
-      ~ship:(not opts.deterministic) ~local_best:Float.infinity
+      ~tw:tw0 ~msh:msh0 ~det:false ~set_root:true ~bump ~ship
+      ~local_best:Float.infinity
   in
-  Pool.Deque.push seed_dq root_node;
-  if Trace.active tw0 then Trace.emit tw0 (Trace.Span_begin "seed");
-  let target = 4 * jobs in
-  (* Cap the seeding phase by processed nodes, not only frontier size:
-     on instances whose tree stays narrow near the root the frontier may
-     never reach [target], and without the cap the "parallel" search
-     would run entirely inside this sequential loop. *)
-  let seed_cap = 8 * jobs in
-  while
-    Atomic.get stop_flag = 0
-    && seed_ctx.k_nodes < seed_cap
-    &&
-    let l = Pool.Deque.length seed_dq in
-    l > 0 && l < target
-  do
-    match Pool.Deque.pop seed_dq with
-    | None -> assert false
-    | Some node ->
-      refix_root seed_ctx;
-      if over_limit () then begin
-        Pool.Deque.push seed_dq node;
-        flag_stop 1
-      end
-      else if node.n_bound >= cutoff seed_ctx then ()
-      else (
-        match process_node seed_ctx node with
-        | Step_ok -> ()
-        | Step_unbounded -> flag_stop 2
-        | Step_numeric ->
-          (* subtree stays open: keep it for the bound report *)
-          Pool.Deque.push seed_dq node;
-          flag_stop 3)
-  done;
-  if Trace.active tw0 then Trace.emit tw0 (Trace.Span_end "seed");
-  let seeds = Pool.Deque.to_list seed_dq in
-  let spawn_workers = Atomic.get stop_flag = 0 && seeds <> [] in
-  let pool : node Pool.t option =
-    if spawn_workers && not opts.deterministic then begin
-      let p = Pool.create ~workers:jobs in
-      (* bottom-first, so the pool pops the deepest seed first *)
-      List.iter (Pool.push p) (List.rev seeds);
-      Some p
-    end
-    else None
-  in
-  let det_best0 = Atomic.get inc.best_obj in
-  let failure : exn option Atomic.t = Atomic.make None in
-  (* Worker deques are allocated on the spawning domain so the metrics
+  (* Worker deques are allocated on the calling domain so the metrics
      poll below can sample their lengths; each deque is still written
      only by its worker. [mirrors.(wi)] is worker [wi]'s published lower
      bound on everything it holds (deque + node in hand): refreshed at
      the top of [handle] — children pushed later bound at least the
      processed node's objective, so the published value stays valid (if
-     stale-low) until the next refresh. Deterministic mode deals seeds
-     before the workers start, so mirrors begin at each deal's min;
-     pool-fed workers start empty ([infinity] — the pool fold covers
-     the seeds). *)
+     stale-low) until the next refresh. Until the frontier is handed
+     over the mirrors read [neg_infinity], which keeps the poll's bound
+     sample silent (a non-finite bound is never recorded) while phase 1
+     owns the frontier. *)
   let locals = Array.init jobs (fun _ -> Pool.Deque.create ()) in
-  let deal wi =
-    if opts.deterministic then List.filteri (fun i _ -> i mod jobs = wi) seeds
-    else []
-  in
-  let mirrors =
-    Array.init jobs (fun wi ->
-        Atomic.make
-          (List.fold_left
-             (fun acc (nd : node) -> Float.min acc nd.n_bound)
-             Float.infinity (deal wi)))
-  in
+  let mirrors = Array.init jobs (fun _ -> Atomic.make Float.neg_infinity) in
   (* Sampler-driven observability: open-node and pool-depth gauges from
      racy deque lengths, and the global dual bound as the min of the
      worker mirrors and a locked fold over the pool. A sample racing
      the instant between a steal and the stealing worker's mirror
      update can transiently overstate the bound; the timeline's final
      entry (from the outcome) is authoritative. [polling] fences the
-     closures off once the solve returns. *)
+     closure off once the solve returns, so a later snapshot cannot
+     clobber gauges the caller publishes from the outcome. *)
   let polling = ref true in
   if Metrics.enabled opts.metrics then
     Metrics.on_snapshot opts.metrics (fun () ->
@@ -1636,7 +1422,8 @@ let solve_parallel env =
           let open_n =
             Array.fold_left
               (fun acc d -> acc + Pool.Deque.length d)
-              in_pool locals
+              (in_pool + Pool.Deque.length seed_dq)
+              locals
           in
           Metrics.set_gauge opts.metrics Metrics.G_open_nodes
             (Float.of_int open_n);
@@ -1649,19 +1436,70 @@ let solve_parallel env =
               Float.infinity mirrors
           in
           let b =
-            match pool with
-            | Some p ->
-              Pool.fold
-                (fun acc (nd : node) -> Float.min acc nd.n_bound)
-                b p
-            | None -> b
+            match pool with Some p -> Pool.fold min_bound b p | None -> b
           in
           note_bound inc opts.metrics ~t0:env.t0 b
         end);
+  (* Phase 1. With [jobs > 1] it stops once the frontier can feed the
+     crew, or after a node cap: on instances whose tree stays narrow
+     near the root the frontier may never reach the target, and without
+     the cap the parallel search would run entirely on this domain. *)
+  let seeding () =
+    (not parallel)
+    || (seed_ctx.k_nodes < 8 * jobs && Pool.Deque.length seed_dq < 4 * jobs)
+  in
+  let rec phase1 () =
+    if Atomic.get stop_flag = 0 && seeding () then
+      match Pool.Deque.pop seed_dq with
+      | None -> ()
+      | Some node ->
+        refix_root seed_ctx;
+        (* Dual-bound convergence sample: after the pop, the global
+           lower bound is the min over the remaining frontier and this
+           node. The fold walks the frontier, so sample on a cadence. *)
+        if Atomic.get nodes land 31 = 0 then
+          note_bound inc opts.metrics ~t0:env.t0
+            (Pool.Deque.fold min_bound node.n_bound seed_dq);
+        ignore (step seed_ctx seed_dq node);
+        phase1 ()
+  in
+  Pool.Deque.push seed_dq root_node;
+  let phase = if parallel then "seed" else "search" in
+  if Trace.active tw0 then Trace.emit tw0 (Trace.Span_begin phase);
+  phase1 ();
+  if Trace.active tw0 then Trace.emit tw0 (Trace.Span_end phase);
+  let spawn_workers =
+    Atomic.get stop_flag = 0 && not (Pool.Deque.is_empty seed_dq)
+  in
+  (* Hand the frontier over, deepest seed first; a frontier no worker
+     takes stays in [seed_dq] for the limit bound. *)
+  let rec take acc =
+    match Pool.Deque.pop_bottom seed_dq with
+    | Some nd -> take (nd :: acc)
+    | None -> acc
+  in
+  let seeds = if spawn_workers then take [] else [] in
+  let deal wi =
+    if opts.deterministic then List.filteri (fun i _ -> i mod jobs = wi) seeds
+    else []
+  in
+  (* Deterministic mode deals seeds before the workers start, so
+     mirrors begin at each deal's min; pool-fed workers start empty
+     ([infinity] — the pool fold covers the seeds). The pool is filled
+     first, so no sample sees a seed in neither place. *)
+  if spawn_workers then begin
+    (* bottom-first, so the pool pops the deepest seed first *)
+    Option.iter (fun p -> List.iter (Pool.push p) (List.rev seeds)) pool;
+    Array.iteri
+      (fun wi m ->
+        Atomic.set m (List.fold_left min_bound Float.infinity (deal wi)))
+      mirrors
+  end;
+  let det_best0 = Atomic.get inc.best_obj in
+  let failure : exn option Atomic.t = Atomic.make None in
   let worker wi () =
-    let my_seeds = deal wi in
     let local : node Pool.Deque.t = locals.(wi) in
-    List.iter (Pool.Deque.push local) (List.rev my_seeds);
+    List.iter (Pool.Deque.push local) (List.rev (deal wi));
     let st = Simplex.create ~backend:opts.lp_backend ~pricing:opts.lp_pricing ?lu_rule:opts.lp_lu env.lp in
     (* Registered from inside the spawned domain: this domain is the
        buffer's single writer for the whole search. *)
@@ -1678,49 +1516,31 @@ let solve_parallel env =
     let ctx =
       make_ctx env ~inc ~st
         ~push:(fun nd -> Pool.Deque.push local nd)
-        ~tw ~msh ~det:opts.deterministic ~set_root:false ~bump
-        ~ship:(not opts.deterministic)
+        ~tw ~msh ~det:opts.deterministic ~set_root:false ~bump ~ship
         ~local_best:
           (if opts.deterministic then det_best0 else Float.infinity)
     in
     let handle node =
       if Metrics.active msh then
         Atomic.set mirrors.(wi)
-          (Pool.Deque.fold
-             (fun acc (nd : node) -> Float.min acc nd.n_bound)
-             node.n_bound local);
+          (Pool.Deque.fold min_bound node.n_bound local);
       if Atomic.get stop_flag <> 0 then Pool.Deque.push local node
-      else if over_limit () then begin
-        flag_stop 1;
-        Option.iter Pool.stop pool;
-        Pool.Deque.push local node
-      end
-      else if node.n_bound >= cutoff ctx then ()
-      else
-        match process_node ctx node with
-        | Step_ok -> (
-          match pool with
-          | Some p when Pool.Deque.length local > 1 ->
-            if Metrics.active msh then
-              Metrics.incr msh Metrics.C_pool_hungry_polls;
-            if Pool.hungry p then (
-              (* donate the bottom of the deque: the shallowest,
-                 largest open subtree this worker holds *)
-              match Pool.Deque.pop_bottom local with
-              | Some nd ->
-                Pool.push p nd;
-                incr handoffs;
-                if Metrics.active msh then
-                  Metrics.incr msh Metrics.C_pool_handoffs
-              | None -> ())
-          | _ -> ())
-        | Step_unbounded ->
-          flag_stop 2;
-          Option.iter Pool.stop pool
-        | Step_numeric ->
-          flag_stop 3;
-          Option.iter Pool.stop pool;
-          Pool.Deque.push local node
+      else if step ctx local node then
+        match pool with
+        | Some p when Pool.Deque.length local > 1 ->
+          if Metrics.active msh then
+            Metrics.incr msh Metrics.C_pool_hungry_polls;
+          if Pool.hungry p then (
+            (* donate the bottom of the deque: the shallowest, largest
+               open subtree this worker holds *)
+            match Pool.Deque.pop_bottom local with
+            | Some nd ->
+              Pool.push p nd;
+              incr handoffs;
+              if Metrics.active msh then
+                Metrics.incr msh Metrics.C_pool_handoffs
+            | None -> ())
+        | _ -> ()
     in
     let rec drive () =
       if Atomic.get stop_flag <> 0 then ()
@@ -1755,12 +1575,8 @@ let solve_parallel env =
     (try drive ()
      with e ->
        ignore (Atomic.compare_and_set failure None (Some e));
-       flag_stop 3;
-       Option.iter Pool.stop pool);
+       stop 3);
     if Trace.active tw then Trace.emit tw (Trace.Span_end "worker");
-    let r_open =
-      Pool.Deque.fold (fun acc nd -> Float.min acc nd.n_bound) Float.infinity local
-    in
     {
       r_ws =
         {
@@ -1774,40 +1590,32 @@ let solve_parallel env =
       r_lp = Simplex.stats st;
       r_piv = Simplex.total_pivots st;
       r_maxd = ctx.k_max_depth;
-      r_open;
+      r_open = Pool.Deque.fold min_bound Float.infinity local;
     }
   in
   let rets =
-    if spawn_workers then begin
-      let domains = Array.init jobs (fun wi -> Domain.spawn (worker wi)) in
-      Array.map Domain.join domains
-    end
+    if spawn_workers then
+      Array.map Domain.join
+        (Array.init jobs (fun wi -> Domain.spawn (worker wi)))
     else
-      (* the search ended (or hit a limit) during seeding *)
-      Array.init jobs (fun _ ->
-          {
-            r_ws = zero_worker;
-            r_lp = Simplex.empty_stats;
-            r_piv = 0;
-            r_maxd = 0;
-            r_open = Float.infinity;
-          })
+      (* the search ended (or hit a limit) in phase 1 *)
+      Array.make (if parallel then jobs else 0) idle_ret
   in
   (match Atomic.get failure with Some e -> raise e | None -> ());
-  (* Best bound over everything still open: leftover pool items, the
-     workers' leftover private deques, and — when the workers never ran
-     — the seed frontier itself. *)
-  let open_acc = ref Float.infinity in
-  (match pool with
-   | Some p ->
-     List.iter
-       (fun (nd : node) -> open_acc := Float.min !open_acc nd.n_bound)
-       (Pool.drain p)
-   | None ->
-     if not spawn_workers then
-       open_acc :=
-         Pool.Deque.fold (fun acc nd -> Float.min acc nd.n_bound) !open_acc seed_dq);
-  Array.iter (fun r -> open_acc := Float.min !open_acc r.r_open) rets;
+  (* Best bound over everything still open: the phase-1 frontier when
+     no worker took it, leftover pool items, and the workers' leftover
+     private deques. *)
+  let open_b =
+    Array.fold_left
+      (fun acc r -> Float.min acc r.r_open)
+      (Pool.Deque.fold min_bound Float.infinity seed_dq)
+      rets
+  in
+  let open_b =
+    match pool with
+    | Some p -> List.fold_left min_bound open_b (Pool.drain p)
+    | None -> open_b
+  in
   let lp_stats =
     Array.fold_left
       (fun acc r -> Simplex.add_stats acc r.r_lp)
@@ -1831,7 +1639,7 @@ let solve_parallel env =
       | Some (obj, x) -> Optimal { obj; x }
       | None -> Infeasible)
     | _ (* 1 = limit, 3 = numeric *) ->
-      Limit_reached { best = inc.best; bound = finitize !open_acc }
+      Limit_reached { best = inc.best; bound = finitize open_b }
   in
   polling := false;
   note_bound inc opts.metrics ~t0:env.t0 (outcome_bound outcome);
@@ -1879,9 +1687,4 @@ let solve ?(options = default_options) lp =
     end
     else (lp, None)
   in
-  if options.jobs = 1 then solve_sequential (make_env options lp t0 ~cuts_info)
-  else
-    (* Workers run depth-first off the shared frontier; a global
-       best-bound order cannot be maintained across domains. *)
-    solve_parallel
-      (make_env { options with node_order = Depth_first } lp t0 ~cuts_info)
+  solve_tree (make_env options lp t0 ~cuts_info)

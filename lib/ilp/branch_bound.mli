@@ -14,12 +14,6 @@ type value_order =
   | One_first  (** Explore the [>= ceil] (for binaries: [= 1]) child first. *)
   | Zero_first
 
-type node_order =
-  | Depth_first
-      (** Stack-based DFS; cheapest warm starts, finds incumbents early.
-          This is what the paper's solver does. *)
-  | Best_bound  (** Explore the node with the smallest LP bound first. *)
-
 type branch_rule = lp_solution:float array -> is_fixed:(int -> bool) -> int option
 (** A branching rule receives the node's LP solution (indexed by
     [(var :> int)]) and a predicate telling whether a variable is
@@ -55,7 +49,6 @@ type options = {
   time_limit : float;  (** Wall-clock seconds; [infinity] disables. *)
   branch_rule : branch_rule option;
   value_order : value_order;
-  node_order : node_order;
   integral_objective : bool;
       (** Set when every integer solution has an integral objective
           value; enables the stronger [ceil] pruning cutoff. *)
@@ -97,16 +90,17 @@ type options = {
           [Devex] engines use {!Lu.Bucket}. Set explicitly to compare
           the two factorization paths on identical searches. *)
   jobs : int;
-      (** Worker domains for the tree search (default [1]). [jobs = 1]
-          is the exact historical sequential search — same node counts,
-          same visit order. With [jobs > 1] the search first seeds a
-          frontier sequentially, then spawns [jobs] domains, each with
-          its {e own} {!Simplex} engine (ownership is enforced, see
-          {!Simplex}), running depth-first on a private deque and
-          sharing work through a common pool. The incumbent is shared:
-          a lock-free best objective for pruning plus a locked solution
-          slot. [node_order] is coerced to {!Depth_first} when
-          [jobs > 1]; [max_nodes] becomes a soft target (workers may
+      (** Worker domains for the tree search (default [1]). The search
+          always starts depth-first on the calling domain's engine. With
+          [jobs = 1] that phase runs to completion: no pool, no worker
+          domains, and the node counts and visit order of the
+          historical search. With [jobs > 1] it only seeds a frontier,
+          then spawns [jobs] domains, each with its {e own} {!Simplex}
+          engine (ownership is enforced, see {!Simplex}), running
+          depth-first on a private deque and sharing work through a
+          common pool. The incumbent is shared: a lock-free best
+          objective for pruning plus a locked solution slot. Under
+          [jobs > 1], [max_nodes] becomes a soft target (workers may
           overshoot by up to one node each). {!solve} raises
           [Invalid_argument] when [jobs < 1]. *)
   deterministic : bool;
@@ -129,8 +123,9 @@ type options = {
           variable left its bound is fixed at that bound for the whole
           subtree. The root duals are kept so an improving incumbent
           re-fixes at the root as well ({!stats} row
-          [deductions.rc_fixed]); root re-fixing happens on the
-          sequential driver (or the seeding phase under [jobs > 1]). *)
+          [deductions.rc_fixed]); root re-fixing happens in the
+          depth-first phase on the calling domain (the whole search at
+          [jobs = 1], the seeding phase under [jobs > 1]). *)
   propagate : bool;
       (** Per-node domain propagation (default off). Runs the
           activity-based bound-tightening kernel of {!Propagate}
@@ -198,8 +193,9 @@ type options = {
           records node open/close events (with parent ids and close
           reasons), LP solves, LU (re)factorizations, propagation runs,
           cut separation and incumbents into per-domain single-writer
-          buffers: the sequential driver and the parallel seeding phase
-          write to the tracer's ["main"] track, and each worker domain
+          buffers: the depth-first phase on the calling domain (span
+          ["search"] at [jobs = 1], ["seed"] under [jobs > 1]) writes to
+          the tracer's ["main"] track, and each worker domain
           registers its own ["worker i"] track from inside its domain.
           Collect with {!Trace.collect} after {!solve} returns and
           export through {!Trace_export}. *)
@@ -210,7 +206,7 @@ type options = {
           solves/pivots/flips, hyper-sparse solve rates,
           (re)factorizations, cut/propagation/heuristic activity and
           pool traffic into per-domain single-writer shards — the
-          sequential driver and the seeding phase write the registry's
+          calling domain's depth-first phase writes the registry's
           main shard, each worker registers its own from inside its
           domain — and publishes gauges (open nodes, pool depth, best
           dual bound, incumbent objective, worker count) for the
@@ -302,8 +298,8 @@ type stats = {
           worker engine when [jobs > 1]. *)
   workers : worker_stats array;
       (** One row per worker domain when [jobs > 1] (all-zero rows when
-          the search already finished during sequential seeding); empty
-          for [jobs = 1]. *)
+          the search already finished during seeding); empty for
+          [jobs = 1]. *)
   deductions : deduction_stats;
       (** Node-deduction counters (all zero when the corresponding
           options are off). *)
@@ -323,10 +319,11 @@ type stats = {
           increasing in both fields. The last entry is authoritative —
           it is the outcome's bound (the objective itself on
           {!Optimal}), so the final gap is reconstructible from the two
-          timelines. Interior entries are sampled: every 32 nodes on
-          the sequential driver; from the metrics snapshot poller when
-          [jobs > 1] (without metrics a parallel timeline holds only
-          the final entry). Empty when the search proves infeasibility
+          timelines. Interior entries are sampled: every 32 nodes while
+          the calling domain searches (all of it at [jobs = 1], the
+          seeding phase under [jobs > 1]); from the metrics snapshot
+          poller while worker domains run (without metrics those
+          samples are absent). Empty when the search proves infeasibility
           or unboundedness. *)
 }
 

@@ -1188,13 +1188,3 @@ module Summary = struct
                t.phases) );
       ]
 end
-
-let summary_sink () =
-  let acc = Summary.fresh () in
-  let result = ref None in
-  ( {
-      on_record = (fun r -> Summary.feed acc r);
-      on_close = (fun () -> result := Some (Summary.finish acc));
-    },
-    fun () ->
-      match !result with Some t -> t | None -> Summary.finish acc )

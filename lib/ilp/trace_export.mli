@@ -1,15 +1,16 @@
 (** Sinks and readers for {!Trace} event streams.
 
-    Three sinks hide behind one {!sink} interface:
+    Two sinks hide behind one {!sink} interface:
 
     - {!jsonl_sink}: one flat JSON object per line, the canonical
       machine-readable form (schema in docs/OBSERVABILITY.md);
     - {!chrome_sink}: Chrome [trace_event] JSON, loadable in
       [chrome://tracing] and Perfetto with one track (tid) per trace
-      writer/domain;
-    - {!summary_sink}: an in-memory aggregator deriving the metrics
-      report ({!Summary.t}) — time-in-phase, bound-vs-time convergence
-      series, tree-shape statistics.
+      writer/domain.
+
+    {!Summary.of_records} derives the metrics report ({!Summary.t}) —
+    time-in-phase, bound-vs-time convergence series, tree-shape
+    statistics — from a collected or loaded record array.
 
     Both file formats are self-describing enough to be read back with
     {!load}, which the [tpart trace] subcommands rely on. *)
@@ -118,7 +119,3 @@ module Summary : sig
   val pp : Format.formatter -> t -> unit
   val to_json : t -> Json.t
 end
-
-val summary_sink : unit -> sink * (unit -> Summary.t)
-(** The aggregator sink and a function yielding the report once the
-    stream is closed. *)

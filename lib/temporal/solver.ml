@@ -176,8 +176,8 @@ let lint_or_fail ?options vars =
          (String.concat "\n" issues))
 
 let solve ?(strategy = Branching.Paper) ?(value_order = Bb.One_first)
-    ?(node_order = Bb.Depth_first) ?(time_limit = Float.infinity)
-    ?(max_nodes = max_int) ?(validate = true) ?(scheduler_completion = true)
+    ?(time_limit = Float.infinity) ?(max_nodes = max_int) ?(validate = true)
+    ?(scheduler_completion = true)
     ?(presolve = true) ?(lint = false) ?lint_options
     ?(lp_backend = Ilp.Simplex.Sparse_lu) ?(lp_pricing = Ilp.Simplex.Devex)
     ?lp_lu ?(jobs = 1) ?(deterministic = false)
@@ -191,7 +191,6 @@ let solve ?(strategy = Branching.Paper) ?(value_order = Bb.One_first)
       Bb.default_options with
       Bb.branch_rule = Some (Branching.rule strategy vars);
       value_order;
-      node_order;
       time_limit;
       max_nodes;
       integral_objective = true;

@@ -24,7 +24,6 @@ type report = {
 val solve :
   ?strategy:Branching.strategy ->
   ?value_order:Ilp.Branch_bound.value_order ->
-  ?node_order:Ilp.Branch_bound.node_order ->
   ?time_limit:float ->
   ?max_nodes:int ->
   ?validate:bool ->
@@ -85,9 +84,11 @@ val solve :
     and {!Ilp.Lu.Legacy} under partial pricing).
 
     [jobs] (default [1]) runs the branch-and-bound tree search on that
-    many worker domains, each with its own simplex engine; [jobs = 1]
-    is the exact sequential search. [deterministic] (with [jobs > 1])
-    trades pruning strength for run-to-run reproducible node counts.
+    many worker domains, each with its own simplex engine; with
+    [jobs = 1] the depth-first search runs entirely on the calling
+    domain, node for node the historical search. [deterministic] (with
+    [jobs > 1]) trades pruning strength for run-to-run reproducible
+    node counts.
     The scheduler-completion hook is safe under parallel search: node
     hooks are serialized by the solver, so its internal memo table is
     never accessed concurrently. See {!Ilp.Branch_bound.options}.

@@ -1,6 +1,6 @@
 (* Tests for the MILP branch and bound: hand-checked knapsacks,
    exhaustive cross-checks on random small binary models, and the
-   behavior of limits, orders and custom branch rules. *)
+   behavior of limits, value orders and custom branch rules. *)
 
 module Lp = Ilp.Lp
 module Bb = Ilp.Branch_bound
@@ -95,16 +95,6 @@ let test_value_orders_agree () =
     | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
   in
   check_float "one-first = zero-first" (solve Bb.One_first) (solve Bb.Zero_first)
-
-let test_node_orders_agree () =
-  let lp, _ = knapsack [| 9.; 7.; 5.; 3.; 8. |] [| 4.; 3.; 2.; 1.; 3. |] 7. in
-  let solve order =
-    let options = { Bb.default_options with Bb.node_order = order } in
-    match Bb.solve ~options lp with
-    | Bb.Optimal { obj; _ }, _ -> user_obj lp obj
-    | o, _ -> Alcotest.failf "unexpected %a" Bb.pp_outcome o
-  in
-  check_float "dfs = best-bound" (solve Bb.Depth_first) (solve Bb.Best_bound)
 
 let test_custom_branch_rule () =
   (* a rule may pick an unfixed variable even when integral; once the
@@ -234,6 +224,54 @@ let test_default_node_counts_frozen () =
           (user_obj lp o)
       | o, _ -> Alcotest.failf "seed %d: unexpected %a" seed Bb.pp_outcome o)
     [ (21, 69, 1.); (25, 47, 10.); (33, 41, 5.); (59, 69, 20.) ]
+
+(* Limit reports and dual-bound samples of the default jobs = 1 search,
+   frozen like the node counts above: the [Limit_reached] bound is the
+   min over the open frontier including the node in hand at the limit,
+   and interior bound-timeline entries are the every-32-nodes samples
+   of the depth-first loop. *)
+let test_limit_reports_frozen () =
+  let lp = make_rand_binary 33 ~n:16 ~m:12 in
+  List.iter
+    (fun (max_nodes, bound, best, timeline) ->
+      let options = { Bb.default_options with Bb.max_nodes } in
+      match Bb.solve ~options lp with
+      | Bb.Limit_reached { best = b; bound = bd }, stats ->
+        let name what = Printf.sprintf "max_nodes %d %s" max_nodes what in
+        Alcotest.(check int) (name "nodes") max_nodes stats.Bb.nodes;
+        Alcotest.(check (float 1e-9)) (name "bound") bound bd;
+        Alcotest.(check (option (float 1e-9)))
+          (name "incumbent") best (Option.map fst b);
+        Alcotest.(check (list (float 1e-9)))
+          (name "bound timeline") timeline
+          (Array.to_list (Array.map snd stats.Bb.bound_timeline))
+      | o, _ ->
+        Alcotest.failf "max_nodes %d: unexpected %a" max_nodes Bb.pp_outcome o)
+    [
+      (1, -391. /. 42., None, [ -391. /. 42. ]);
+      (5, -391. /. 42., None, [ -391. /. 42. ]);
+      (20, -391. /. 42., Some (-5.), [ -391. /. 42. ]);
+      ( 40,
+        -5.0833333333333695,
+        Some (-5.),
+        [ -7.3999999999999968; -5.0833333333333695 ] );
+    ]
+
+let test_default_bound_timelines_frozen () =
+  List.iter
+    (fun (seed, timeline) ->
+      let lp = make_rand_binary seed ~n:16 ~m:12 in
+      let _, stats = Bb.solve lp in
+      Alcotest.(check (list (float 1e-9)))
+        (Printf.sprintf "seed %d bound timeline" seed)
+        timeline
+        (Array.to_list (Array.map snd stats.Bb.bound_timeline)))
+    [
+      (21, [ -2.5000000000000004; -0.99999999999999911 ]);
+      (25, [ -11.; -10. ]);
+      (33, [ -7.3999999999999968; -5. ]);
+      (59, [ -23.333333333333378; -22.164062499999996; -20. ]);
+    ]
 
 let test_default_deductions_idle () =
   (* with everything off, no deduction counter may move *)
@@ -377,7 +415,6 @@ let () =
           Alcotest.test_case "node limit" `Quick test_node_limit;
           Alcotest.test_case "value orders agree" `Quick
             test_value_orders_agree;
-          Alcotest.test_case "node orders agree" `Quick test_node_orders_agree;
           Alcotest.test_case "custom branch rule" `Quick
             test_custom_branch_rule;
           Alcotest.test_case "incumbent callback" `Quick
@@ -388,6 +425,10 @@ let () =
         [
           Alcotest.test_case "default node counts frozen" `Quick
             test_default_node_counts_frozen;
+          Alcotest.test_case "limit reports frozen" `Quick
+            test_limit_reports_frozen;
+          Alcotest.test_case "default bound timelines frozen" `Quick
+            test_default_bound_timelines_frozen;
           Alcotest.test_case "deduction counters idle by default" `Quick
             test_default_deductions_idle;
         ] );
