@@ -332,56 +332,6 @@ let ablation () =
     points
 
 (* ------------------------------------------------------------------ *)
-(* Dense vs sparse simplex backend                                      *)
-(* ------------------------------------------------------------------ *)
-
-let sparse () =
-  section
-    "LP backend: dense basis inverse vs sparse LU + eta file\n\
-     (production model: tightened Glover + step cuts, paper branching,\n\
-     scheduler completion; both backends explore the same B&B tree\n\
-     under an identical node budget, so the wall-clock ratio isolates\n\
-     the LP engine)";
-  let node_budget = 120 in
-  let points =
-    [
-      (* the larger Table-4 design points, graph 6 = 10 tasks / 72 ops *)
-      (2, 4, (3, 2, 2), 1);
-      (3, 3, (2, 2, 2), 1);
-      (4, 2, (2, 2, 2), 1);
-      (5, 2, (2, 2, 2), 1);
-      (6, 3, (2, 2, 2), 0);
-      (6, 2, (2, 2, 2), 1);
-    ]
-  in
-  Format.printf
-    " %-6s %-3s %-3s | %-9s %-5s %-8s | %-9s %-5s %-8s | %-7s | per-node LP work (sparse)@."
-    "graph" "N" "L" "dense(s)" "nodes" "pivots" "sparse(s)" "nodes" "pivots"
-    "speedup";
-  List.iter
-    (fun (gno, n, ams, l) ->
-      let g = Ex.paper_graph gno in
-      let run backend =
-        let vars = F.build ~options:F.default_options (spec_of g ~ams ~n ~l) in
-        let t0 = Unix.gettimeofday () in
-        let report =
-          Solver.solve ~time_limit:!time_limit ~max_nodes:node_budget
-            ~lp_backend:backend vars
-        in
-        (Unix.gettimeofday () -. t0, report.Solver.stats)
-      in
-      let td, sd = run Ilp.Simplex.Dense in
-      let ts, ss = run Ilp.Simplex.Sparse_lu in
-      let lps = ss.Ilp.Branch_bound.lp_stats in
-      Format.printf
-        " %-6d %-3d %-3d | %-9.2f %-5d %-8d | %-9.2f %-5d %-8d | %-7.2f | %a@."
-        gno n l td sd.Ilp.Branch_bound.nodes sd.Ilp.Branch_bound.pivots ts
-        ss.Ilp.Branch_bound.nodes ss.Ilp.Branch_bound.pivots (td /. ts)
-        Ilp.Simplex.pp_stats lps)
-    points
-
-
-(* ------------------------------------------------------------------ *)
 (* LP engine: devex + bound-flipping ratio test vs partial pricing      *)
 (* ------------------------------------------------------------------ *)
 
@@ -413,7 +363,7 @@ let lp_bench ~quick () =
   section
     "LP engine: devex pricing + bound-flipping dual ratio test vs the\n\
      partial-pricing baseline (root relaxation of the tightened model at\n\
-     the Table 4 design points, sparse LU backend for both; the full-solve\n\
+     the Table 4 design points; the full-solve\n\
      column runs the production search under the devex default --\n\
      docs/PERFORMANCE.md explains the knobs)";
   let reps = if quick then 1 else 3 in
@@ -1422,7 +1372,6 @@ let () =
   if want "table2" then table12 ~tighten:true ();
   if want "table4" then table4 ();
   if want "ablation" then ablation ();
-  if want "sparse" then sparse ();
   if want "lp" then lp_bench ~quick ();
   if want "parallel" then parallel ~quick ();
   if want "nodes" then nodes_bench ~quick ();

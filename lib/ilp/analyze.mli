@@ -83,8 +83,7 @@ val analyze : ?cond_limit:float -> Lp.t -> report
     Info-level: parallel (dominated) rows, rows trivially redundant by
     bound arithmetic, an all-zero objective. *)
 
-val certificate_diagnostics :
-  ?tol:float -> ?backend:Simplex.backend -> ?iis:bool -> Lp.t -> diagnostic list
+val certificate_diagnostics : ?tol:float -> ?iis:bool -> Lp.t -> diagnostic list
 (** The certificate diagnostic family — the one check that solves
     rather than sweeps. The LP relaxation is solved once and its
     verdict re-checked in exact rational arithmetic ({!Certify}):

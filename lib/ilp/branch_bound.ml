@@ -26,7 +26,6 @@ type options = {
   node_hook :
     (lp_solution:float array -> is_fixed:(int -> bool) -> hook_result) option;
   check_model : bool;
-  lp_backend : Simplex.backend;
   lp_pricing : Simplex.pricing;
   lp_lu : Lu.pivot_rule option;
   jobs : int;
@@ -58,7 +57,6 @@ let default_options =
     warm_start = true;
     node_hook = None;
     check_model = false;
-    lp_backend = Simplex.Sparse_lu;
     lp_pricing = Simplex.Partial;
     lp_lu = None;
     jobs = 1;
@@ -804,9 +802,8 @@ let run_heuristics ctx ~node_no ~depth ~lb ~ub x =
     | Some h -> h
     | None ->
       let h =
-        Heuristics.create ~backend:env.opts.lp_backend
-          ~pricing:env.opts.lp_pricing ?lu_rule:env.opts.lp_lu ~trace:ctx.tw
-          ~metrics:ctx.msh env.lp
+        Heuristics.create ~pricing:env.opts.lp_pricing ?lu_rule:env.opts.lp_lu
+          ~trace:ctx.tw ~metrics:ctx.msh env.lp
       in
       ctx.heur <- Some h;
       h
@@ -1187,7 +1184,7 @@ let cut_and_branch opts lp t0 tw msh =
     !continue_ && !rounds < opts.cut_rounds
     && Mono.elapsed_since t0 <= cut_budget
   do
-    let res = Simplex.solve ~backend:opts.lp_backend ~pricing:opts.lp_pricing ?lu_rule:opts.lp_lu (with_cuts !active) in
+    let res = Simplex.solve ~pricing:opts.lp_pricing ?lu_rule:opts.lp_lu (with_cuts !active) in
     if res.Simplex.status <> Simplex.Optimal then continue_ := false
     else if
       List.for_all
@@ -1347,7 +1344,7 @@ let solve_tree env =
   let jobs = opts.jobs in
   let parallel = jobs > 1 in
   let ship = parallel && not opts.deterministic in
-  let st0 = Simplex.create ~backend:opts.lp_backend ~pricing:opts.lp_pricing ?lu_rule:opts.lp_lu env.lp in
+  let st0 = Simplex.create ~pricing:opts.lp_pricing ?lu_rule:opts.lp_lu env.lp in
   let tw0 = Trace.main opts.tracer in
   Simplex.set_trace st0 tw0;
   let msh0 = Metrics.main opts.metrics in
@@ -1500,7 +1497,7 @@ let solve_tree env =
   let worker wi () =
     let local : node Pool.Deque.t = locals.(wi) in
     List.iter (Pool.Deque.push local) (List.rev (deal wi));
-    let st = Simplex.create ~backend:opts.lp_backend ~pricing:opts.lp_pricing ?lu_rule:opts.lp_lu env.lp in
+    let st = Simplex.create ~pricing:opts.lp_pricing ?lu_rule:opts.lp_lu env.lp in
     (* Registered from inside the spawned domain: this domain is the
        buffer's single writer for the whole search. *)
     let tw =

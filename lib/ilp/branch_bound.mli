@@ -71,9 +71,6 @@ type options = {
       (** Run {!Analyze.assert_clean} on the model before searching
           (default off): {!solve} then raises [Invalid_argument] instead
           of silently branching on a structurally broken model. *)
-  lp_backend : Simplex.backend;
-      (** Basis representation used by the node LP solver (default
-          {!Simplex.Sparse_lu}). *)
   lp_pricing : Simplex.pricing;
       (** Pricing rule of the node LP solver. The default is
           {!Simplex.Partial}: {!default_options} preserves the

@@ -35,7 +35,7 @@ let uncertifiable d = { verdict = Uncertifiable; detail = d }
    proved those pivots structurally sound, so the exact replay does no
    searching — and falls back to a Markowitz-style greedy choice for
    any step where the recorded pivot has become exactly zero (or when
-   there is no recorded order, e.g. under the dense backend). *)
+   there is no recorded order, e.g. after a singular refresh). *)
 
 exception Singular
 
@@ -444,8 +444,8 @@ let check ?(tol = 1e-6) (s : Simplex.snapshot) (r : Simplex.result) =
       uncertifiable
         (No_certificate "iteration-limit results carry no optimality claim")
 
-let check_lp ?tol ?backend lp =
-  let st = Simplex.create ?backend lp in
+let check_lp ?tol lp =
+  let st = Simplex.create lp in
   let r = Simplex.primal st in
   let snap = Simplex.snapshot st in
   (r, check ?tol snap r)

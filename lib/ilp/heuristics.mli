@@ -23,7 +23,6 @@
 type t
 
 val create :
-  ?backend:Simplex.backend ->
   ?pricing:Simplex.pricing ->
   ?lu_rule:Lu.pivot_rule ->
   ?trace:Trace.writer ->

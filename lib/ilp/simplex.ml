@@ -20,7 +20,6 @@ type result = {
   farkas : farkas option;
 }
 
-type backend = Dense | Sparse_lu
 type pricing = Partial | Devex
 
 type stats = {
@@ -114,15 +113,6 @@ type snapshot = {
   s_pivot_order : (int * int) array option;
 }
 
-(* Basis representation: a dense explicit inverse maintained by
-   product-form row operations, or a sparse LU factorization with an
-   eta file (see {!Lu}). *)
-type lu_box = { mutable lu : Lu.t option }
-
-type repr =
-  | Rdense of float array array  (* binv: dense m x m basis inverse *)
-  | Rsparse of lu_box
-
 type state = {
   owner : int;  (* creating domain id: all solver storage is unshared *)
   m : int;  (* rows *)
@@ -139,7 +129,7 @@ type state = {
   basis : int array;  (* slot -> basic column *)
   pos : int array;  (* column -> slot when basic, -1 otherwise *)
   stat : vstat array;
-  repr : repr;
+  mutable lu : Lu.t option;  (* LU + eta file; None until (re)factorized *)
   xb : float array;  (* values of basic variables, per slot *)
   y : float array;  (* workspace: simplex multipliers *)
   w : float array;  (* workspace: transformed entering column *)
@@ -192,8 +182,7 @@ let ftol = 1e-7 (* primal feasibility *)
 let dtol = 1e-7 (* dual feasibility / pricing *)
 let ptol = 1e-9 (* smallest acceptable pivot *)
 let degen_switch = 60 (* degenerate pivots before switching to Bland *)
-let refactor_period = 400 (* dense: pivots between basis re-inversions *)
-let eta_limit = 64 (* sparse: eta-file length triggering refactorization *)
+let eta_limit = 64 (* eta-file length triggering refactorization *)
 
 (* Devex-mode refactorization cadence. The trace-driven tuning in
    docs/PERFORMANCE.md balances the two costs on the paper models: a
@@ -238,7 +227,6 @@ let total_pivots st = st.total_pivots
 let bound_flips st = st.bound_flips
 let refactorizations st = st.refactors
 
-let backend st = match st.repr with Rdense _ -> Dense | Rsparse _ -> Sparse_lu
 let pricing st = st.pricing
 let lu_rule st = st.lu_rule
 
@@ -280,15 +268,11 @@ let set_metrics st s = st.ms <- s
    event follows from [Lu.factor] itself. *)
 let emit_refactor st trigger =
   if Trace.active st.trace then begin
-    let etas =
-      match st.repr with
-      | Rsparse { lu = Some lu } -> Lu.eta_count lu
-      | Rsparse { lu = None } | Rdense _ -> 0
-    in
+    let etas = match st.lu with Some lu -> Lu.eta_count lu | None -> 0 in
     Trace.emit st.trace (Trace.Lu_refactor { trigger; etas })
   end
 
-let create ?(backend = Sparse_lu) ?(pricing = Devex) ?lu_rule lp =
+let create ?(pricing = Devex) ?lu_rule lp =
   (* The LU pivot rule defaults per pricing mode, mirroring how the
      pricing switch itself gates history: [Partial] engines are the
      bit-exact legacy baseline (the frozen node-count fixtures pin the
@@ -345,16 +329,6 @@ let create ?(backend = Sparse_lu) ?(pricing = Devex) ?lu_rule lp =
   let cost = Array.make ncols 0. in
   let obj = Lp.objective lp in
   Array.blit obj 0 cost 0 nstruct;
-  let repr =
-    match backend with
-    | Dense ->
-      Rdense
-        (Array.init m (fun i ->
-             let r = Array.make m 0. in
-             r.(i) <- 1.;
-             r))
-    | Sparse_lu -> Rsparse { lu = None }
-  in
   let mat = Sparse.Csc.of_columns ~nrows:m cols in
   {
     owner = (Domain.self () :> int);
@@ -372,7 +346,7 @@ let create ?(backend = Sparse_lu) ?(pricing = Devex) ?lu_rule lp =
     basis = Array.init m (fun i -> nstruct + i);
     pos = Array.make ncols (-1);
     stat = Array.make ncols At_lower;
-    repr;
+    lu = None;
     xb = Array.make m 0.;
     y = Array.make m 0.;
     w = Array.make m 0.;
@@ -453,10 +427,9 @@ let default_stat st j =
 
 exception Singular_basis
 
-(* Factorize (or re-invert) the current basis from scratch. Wall time
-   is accumulated into [t_factor] (reported as [stats.factor_time_s])
-   for both backends, including factorizations that end in
-   [Singular_basis]. *)
+(* Factorize the current basis from scratch. Wall time is accumulated
+   into [t_factor] (reported as [stats.factor_time_s]), including
+   factorizations that end in [Singular_basis]. *)
 let fresh_factor st =
   st.n_factor <- st.n_factor + 1;
   let t0 = now () in
@@ -469,69 +442,20 @@ let fresh_factor st =
         Metrics.observe st.ms Metrics.H_factor_seconds dt
       end)
   @@ fun () ->
-  match st.repr with
-  | Rdense binv ->
-    let m = st.m in
-    let a = Array.init m (fun _ -> Array.make m 0.) in
-    for i = 0 to m - 1 do
-      (* dense column i of the basis into column i of [a] *)
-      Sparse.Csc.iter_col st.mat st.basis.(i) (fun r v -> a.(r).(i) <- v);
-      let row = binv.(i) in
-      Array.fill row 0 m 0.;
-      row.(i) <- 1.
-    done;
-    (* Gauss-Jordan with partial pivoting, applying the same row
-       operations to the identity accumulated in binv. *)
-    for c = 0 to m - 1 do
-      let piv_row = ref c and piv_v = ref (Float.abs a.(c).(c)) in
-      for r = c + 1 to m - 1 do
-        let v = Float.abs a.(r).(c) in
-        if v > !piv_v then begin
-          piv_row := r;
-          piv_v := v
-        end
-      done;
-      if !piv_v < 1e-11 then raise Singular_basis;
-      if !piv_row <> c then begin
-        (* Row swaps are ordinary row operations applied to both sides of
-           [B | I]: the left side still reduces to exactly I, so neither
-           the basis ordering nor xb is affected. *)
-        let swap arr =
-          let t = arr.(c) in
-          arr.(c) <- arr.(!piv_row);
-          arr.(!piv_row) <- t
-        in
-        swap a;
-        swap binv
-      end;
-      let p = a.(c).(c) in
-      Vec.scale (1. /. p) a.(c);
-      Vec.scale (1. /. p) binv.(c);
-      for r = 0 to m - 1 do
-        if r <> c then begin
-          let f = a.(r).(c) in
-          if f <> 0. then begin
-            Vec.axpy ~alpha:(-.f) ~x:a.(c) ~y:a.(r);
-            Vec.axpy ~alpha:(-.f) ~x:binv.(c) ~y:binv.(r)
-          end
-        end
-      done
-    done
-  | Rsparse box -> (
-    match
-      Lu.factor ~trace:st.trace ~metrics:st.ms ~rule:st.lu_rule st.mat st.basis
-    with
-    | lu ->
-      box.lu <- Some lu;
-      st.last_fill <- Lu.fill lu
-    | exception Lu.Singular -> raise Singular_basis)
+  match
+    Lu.factor ~trace:st.trace ~metrics:st.ms ~rule:st.lu_rule st.mat st.basis
+  with
+  | lu ->
+    st.lu <- Some lu;
+    st.last_fill <- Lu.fill lu
+  | exception Lu.Singular -> raise Singular_basis
 
-let lu_of st box =
-  match box.lu with
+let lu_of st =
+  match st.lu with
   | Some lu -> lu
   | None ->
     fresh_factor st;
-    Option.get box.lu
+    Option.get st.lu
 
 (* Zero out the previous transformed column, touching only its recorded
    nonzeros when a pattern is available. *)
@@ -543,30 +467,20 @@ let clear_w st =
     done;
   st.wpat_n <- 0
 
-(* w <- Binv * column j. Under the sparse backend the solve is
-   hyper-sparse: {!Lu.ftran_sparse} visits only the elimination steps
-   reachable from the column's nonzeros and reports the solution's slot
-   pattern in [wpat] (wpat_n = -1 when it fell through to the dense
-   kernel). *)
+(* w <- Binv * column j. The solve is hyper-sparse: {!Lu.ftran_sparse}
+   visits only the elimination steps reachable from the column's
+   nonzeros and reports the solution's slot pattern in [wpat]
+   (wpat_n = -1 when it fell through to the dense kernel). *)
 let ftran_col st j =
   let t0 = now () in
-  (match st.repr with
-   | Rdense binv ->
-     Vec.fill st.w 0.;
-     Sparse.Csc.iter_col st.mat j (fun r a ->
-         for i = 0 to st.m - 1 do
-           st.w.(i) <- st.w.(i) +. (a *. binv.(i).(r))
-         done);
-     st.wpat_n <- -1
-   | Rsparse box ->
-     let lu = lu_of st box in
-     clear_w st;
-     let n = ref 0 in
-     Sparse.Csc.iter_col st.mat j (fun r a ->
-         st.w.(r) <- a;
-         st.wpat.(!n) <- r;
-         incr n);
-     st.wpat_n <- Lu.ftran_sparse lu st.w st.wpat !n);
+  let lu = lu_of st in
+  clear_w st;
+  let n = ref 0 in
+  Sparse.Csc.iter_col st.mat j (fun r a ->
+      st.w.(r) <- a;
+      st.wpat.(!n) <- r;
+      incr n);
+  st.wpat_n <- Lu.ftran_sparse lu st.w st.wpat !n;
   st.t_ftran <- st.t_ftran +. (now () -. t0);
   if Metrics.active st.ms then begin
     Metrics.incr st.ms Metrics.C_ftran_solves;
@@ -591,20 +505,12 @@ let update_xb_step st coef =
    batched bound-flip update, whose rhs aggregates several columns). *)
 let ftran_vec st v =
   let t0 = now () in
-  (match st.repr with
-   | Rdense binv ->
-     Array.blit v 0 st.aux 0 st.m;
-     for i = 0 to st.m - 1 do
-       v.(i) <- Vec.dot binv.(i) st.aux
-     done
-   | Rsparse box ->
-     let lu = lu_of st box in
-     Lu.ftran lu v);
+  Lu.ftran (lu_of st) v;
   st.t_ftran <- st.t_ftran +. (now () -. t0)
 
-(* xb <- Binv * (rhs - sum of nonbasic columns at their values).
-   With the LU backend, a residual check on the recomputed basic
-   solution triggers refactorization when the eta file has degraded. *)
+(* xb <- Binv * (rhs - sum of nonbasic columns at their values). A
+   residual check on the recomputed basic solution triggers
+   refactorization when the eta file has degraded. *)
 let rec compute_xb st =
   Array.blit st.rhs 0 st.tmp 0 st.m;
   for j = 0 to st.ncols - 1 do
@@ -614,37 +520,29 @@ let rec compute_xb st =
     end
   done;
   let t0 = now () in
-  (match st.repr with
-   | Rdense binv ->
-     for i = 0 to st.m - 1 do
-       st.xb.(i) <- Vec.dot binv.(i) st.tmp
-     done;
-     st.t_ftran <- st.t_ftran +. (now () -. t0)
-   | Rsparse box ->
-     let lu = lu_of st box in
-     Array.blit st.tmp 0 st.xb 0 st.m;
-     Lu.ftran lu st.xb;
-     st.t_ftran <- st.t_ftran +. (now () -. t0);
-     if Lu.eta_count lu > 0 then begin
-       (* residual || B xb - tmp ||_inf against the eta-updated solve *)
-       Vec.fill st.aux 0.;
-       for i = 0 to st.m - 1 do
-         if st.xb.(i) <> 0. then
-           Sparse.Csc.add_col_to_dense ~scale:st.xb.(i) st.mat st.basis.(i)
-             st.aux
-       done;
-       let res = ref 0. in
-       for i = 0 to st.m - 1 do
-         let d = Float.abs (st.aux.(i) -. st.tmp.(i)) in
-         if d > !res then res := d
-       done;
-       let scale = 1. +. Vec.nrm_inf st.tmp in
-       if !res > res_tol *. scale then begin
-         st.rf_residual <- st.rf_residual + 1;
-         emit_refactor st Trace.Rf_residual;
-         refactor st
-       end
-     end)
+  let lu = lu_of st in
+  Array.blit st.tmp 0 st.xb 0 st.m;
+  Lu.ftran lu st.xb;
+  st.t_ftran <- st.t_ftran +. (now () -. t0);
+  if Lu.eta_count lu > 0 then begin
+    (* residual || B xb - tmp ||_inf against the eta-updated solve *)
+    Vec.fill st.aux 0.;
+    for i = 0 to st.m - 1 do
+      if st.xb.(i) <> 0. then
+        Sparse.Csc.add_col_to_dense ~scale:st.xb.(i) st.mat st.basis.(i) st.aux
+    done;
+    let res = ref 0. in
+    for i = 0 to st.m - 1 do
+      let d = Float.abs (st.aux.(i) -. st.tmp.(i)) in
+      if d > !res then res := d
+    done;
+    let scale = 1. +. Vec.nrm_inf st.tmp in
+    if !res > res_tol *. scale then begin
+      st.rf_residual <- st.rf_residual + 1;
+      emit_refactor st Trace.Rf_residual;
+      refactor st
+    end
+  end
 
 (* Rebuild the factorization from the current basis, then recompute xb.
    Used as a numerical safeguard and by the periodic refresh. *)
@@ -661,53 +559,38 @@ and refactor st =
 (* y <- c_B * Binv for the given cost vector (i.e. solve B^T y = c_B) *)
 let compute_y st costs =
   let t0 = now () in
-  (match st.repr with
-   | Rdense binv ->
-     Vec.fill st.y 0.;
-     for k = 0 to st.m - 1 do
-       let c = costs.(st.basis.(k)) in
-       if c <> 0. then Vec.axpy ~alpha:c ~x:binv.(k) ~y:st.y
-     done
-   | Rsparse box ->
-     let lu = lu_of st box in
-     for k = 0 to st.m - 1 do
-       st.y.(k) <- costs.(st.basis.(k))
-     done;
-     Lu.btran lu st.y);
+  let lu = lu_of st in
+  for k = 0 to st.m - 1 do
+    st.y.(k) <- costs.(st.basis.(k))
+  done;
+  Lu.btran lu st.y;
   st.t_btran <- st.t_btran +. (now () -. t0)
 
 let reduced_cost st costs j =
   costs.(j) -. Sparse.Csc.dot_col_dense st.mat j st.y
 
-(* Row r of Binv (the dual pricing vector rho = e_r^T B^-1). The dense
-   backend returns its internal row without copying (rho_n = -1); the LU
-   backend runs a hyper-sparse transposed solve into [st.rho], recording
-   the row pattern in [rpat] unless the solve fell through to the dense
-   kernel. Entries of [st.rho] outside the pattern are exact zeros, so
-   the returned array is always valid as a dense vector. *)
+(* Row r of Binv (the dual pricing vector rho = e_r^T B^-1): a
+   hyper-sparse transposed solve into [st.rho], recording the row
+   pattern in [rpat] unless the solve fell through to the dense kernel.
+   Entries of [st.rho] outside the pattern are exact zeros, so the
+   returned array is always valid as a dense vector. *)
 let dual_row st r =
-  match st.repr with
-  | Rdense binv ->
-    st.rho_n <- -1;
-    if Metrics.active st.ms then Metrics.incr st.ms Metrics.C_btran_solves;
-    binv.(r)
-  | Rsparse box ->
-    let lu = lu_of st box in
-    let t0 = now () in
-    (if st.rho_n < 0 then Vec.fill st.rho 0.
-     else
-       for k = 0 to st.rho_n - 1 do
-         st.rho.(st.rpat.(k)) <- 0.
-       done);
-    st.rho.(r) <- 1.;
-    st.rpat.(0) <- r;
-    st.rho_n <- Lu.btran_sparse lu st.rho st.rpat 1;
-    st.t_btran <- st.t_btran +. (now () -. t0);
-    if Metrics.active st.ms then begin
-      Metrics.incr st.ms Metrics.C_btran_solves;
-      if st.rho_n >= 0 then Metrics.incr st.ms Metrics.C_btran_hyper
-    end;
-    st.rho
+  let lu = lu_of st in
+  let t0 = now () in
+  (if st.rho_n < 0 then Vec.fill st.rho 0.
+   else
+     for k = 0 to st.rho_n - 1 do
+       st.rho.(st.rpat.(k)) <- 0.
+     done);
+  st.rho.(r) <- 1.;
+  st.rpat.(0) <- r;
+  st.rho_n <- Lu.btran_sparse lu st.rho st.rpat 1;
+  st.t_btran <- st.t_btran +. (now () -. t0);
+  if Metrics.active st.ms then begin
+    Metrics.incr st.ms Metrics.C_btran_solves;
+    if st.rho_n >= 0 then Metrics.incr st.ms Metrics.C_btran_hyper
+  end;
+  st.rho
 
 (* alpha <- rho A over every column, scanning only the rows where rho is
    nonzero through the CSR mirror. The result is pattern + stamp
@@ -744,24 +627,12 @@ let build_alpha st rho =
 (* Apply the basis-exchange update for an entering column whose
    transformed column is in st.w, pivoting in slot r. *)
 let update_factor st r =
-  match st.repr with
-  | Rdense binv ->
-    let piv = st.w.(r) in
-    Vec.scale (1. /. piv) binv.(r);
-    for i = 0 to st.m - 1 do
-      if i <> r then begin
-        let f = st.w.(i) in
-        if f <> 0. then Vec.axpy ~alpha:(-.f) ~x:binv.(r) ~y:binv.(i)
-      end
-    done
-  | Rsparse box -> (
-    let lu = lu_of st box in
-    match Lu.update lu ~w:st.w ~r with
-    | () -> st.n_etas <- st.n_etas + 1
-    | exception Lu.Singular -> raise Singular_basis)
+  match Lu.update (lu_of st) ~w:st.w ~r with
+  | () -> st.n_etas <- st.n_etas + 1
+  | exception Lu.Singular -> raise Singular_basis
 
-(* Has the representation accumulated enough updates to warrant a
-   periodic refresh? The sparse trigger is two-sided: the eta-file
+(* Has the eta file accumulated enough updates to warrant a periodic
+   refresh? The trigger is two-sided: the eta-file
    length bound catches long chains of sparse etas, while the stored
    entry count (against the factorization's own fill) catches few but
    dense etas — dragging an eta file heavier than a fresh factorization
@@ -769,9 +640,8 @@ let update_factor st r =
    historical schedule (pinned by the frozen node-count regressions);
    {!Devex} runs the measured cadence (see [devex_eta_limit]). *)
 let due_refresh st =
-  match st.repr with
-  | Rdense _ -> st.pivots_since_refactor >= refactor_period
-  | Rsparse { lu = Some lu } -> (
+  match st.lu with
+  | Some lu -> (
     match st.lu_rule with
     | Lu.Bucket ->
       (* factorizations are ~10x cheaper: refresh much earlier (see
@@ -783,7 +653,7 @@ let due_refresh st =
       else
         Lu.eta_count lu >= devex_eta_limit
         || Lu.eta_nnz lu > devex_eta_fill * Lu.fill lu)
-  | Rsparse { lu = None } -> false
+  | None -> false
 
 let objective_value st costs =
   let acc = ref 0. in
@@ -1332,18 +1202,10 @@ let reset_to_slack_basis st =
     st.stat.(a) <- At_lower;
     st.pos.(a) <- -1
   done;
-  (match st.repr with
-   | Rdense binv ->
-     for i = 0 to st.m - 1 do
-       let row = binv.(i) in
-       Array.fill row 0 st.m 0.;
-       row.(i) <- 1.
-     done
-   | Rsparse box ->
-     (* the slack basis is a permutation-free identity: factor it fresh
-        (cheap: every column is a singleton) *)
-     box.lu <- None;
-     fresh_factor st);
+  (* the slack basis is a permutation-free identity: factor it fresh
+     (cheap: every column is a singleton) *)
+  st.lu <- None;
+  fresh_factor st;
   st.bland <- false;
   st.degen_streak <- 0;
   st.pivots_since_refactor <- 0;
@@ -1795,16 +1657,13 @@ let snapshot st =
      basis leaves the order out — the exact check then picks its own
      pivots. *)
   let pivot_order =
-    match st.repr with
-    | Rdense _ -> None
-    | Rsparse box -> (
-      match box.lu with
-      | Some lu when Lu.eta_count lu = 0 -> Some (Lu.pivot_order lu)
-      | None -> None
-      | Some _ -> (
-        match refactor st with
-        | () -> Option.map Lu.pivot_order box.lu
-        | exception Singular_basis -> None))
+    match st.lu with
+    | Some lu when Lu.eta_count lu = 0 -> Some (Lu.pivot_order lu)
+    | None -> None
+    | Some _ -> (
+      match refactor st with
+      | () -> Option.map Lu.pivot_order st.lu
+      | exception Singular_basis -> None)
   in
   {
     s_m = st.m;
@@ -1873,7 +1732,7 @@ let install_basis st b =
     st.ncand <- 0;
     st.last_inf <- None;
     reset_devex_weights st;
-    (match st.repr with Rsparse box -> box.lu <- None | Rdense _ -> ());
+    st.lu <- None;
     !ok
     &&
     match
@@ -1882,7 +1741,7 @@ let install_basis st b =
     with
     | () -> true
     | exception Singular_basis ->
-      (match st.repr with Rsparse box -> box.lu <- None | Rdense _ -> ());
+      st.lu <- None;
       false
   end
 
@@ -1991,5 +1850,5 @@ let dual_reopt ?(max_iters = 200_000) st =
       (dual_reopt_core ~max_iters st)
   end
 
-let solve ?backend ?pricing ?lu_rule ?max_iters lp =
-  primal ?max_iters (create ?backend ?pricing ?lu_rule lp)
+let solve ?pricing ?lu_rule ?max_iters lp =
+  primal ?max_iters (create ?pricing ?lu_rule lp)

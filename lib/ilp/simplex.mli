@@ -1,18 +1,12 @@
 (** Bounded-variable revised simplex solver for linear programs.
 
     Solves the LP relaxation of an {!Lp.t} (integrality markers are
-    ignored). The implementation is a revised simplex with two
-    interchangeable basis representations (see {!backend}):
-
-    - the default {e sparse} backend keeps the constraint matrix in
-      compressed sparse column form ({!Sparse.Csc}) and the basis as a
-      Markowitz-pivoted LU factorization with a product-form eta file
-      ({!Lu}), refactorized when the eta file grows past a bound or a
-      residual check fails;
-    - the legacy {e dense} backend maintains an explicit basis inverse
-      with product-form row updates, kept as a cross-check and baseline.
-
-    Common machinery, independent of the backend:
+    ignored). The implementation is a revised simplex over one basis
+    representation: the constraint matrix is kept in compressed sparse
+    column form ({!Sparse.Csc}) and the basis as a Markowitz-pivoted LU
+    factorization with a product-form eta file ({!Lu}), refactorized
+    when the eta file grows past a bound or a residual check fails.
+    Around that core:
 
     - variable bounds are handled implicitly (no explicit bound rows),
       which keeps the row count equal to the number of constraints;
@@ -91,10 +85,6 @@ type result = {
           the rare infeasible verdicts reached without usable duals. *)
 }
 
-type backend =
-  | Dense  (** Explicit dense basis inverse (legacy baseline). *)
-  | Sparse_lu  (** Sparse LU + eta file (default). *)
-
 type pricing =
   | Partial
       (** Dantzig pricing over a partial-pricing candidate list, with
@@ -111,10 +101,9 @@ type pricing =
           from-scratch recomputation confirms it. *)
 
 type stats = {
-  factorizations : int;  (** Fresh basis factorizations / re-inversions. *)
+  factorizations : int;  (** Fresh basis factorizations. *)
   fill : int;
-      (** Stored L+U entries of the most recent sparse factorization
-          (0 under the dense backend). *)
+      (** Stored L+U entries of the most recent factorization. *)
   etas : int;  (** Cumulative eta-file updates appended. *)
   refactor_eta : int;  (** Refactorizations triggered by eta-file length. *)
   refactor_numeric : int;
@@ -124,8 +113,8 @@ type stats = {
       (** Refactorizations triggered by the basic-solution residual
           check. *)
   factor_time_s : float;
-      (** Wall time spent in fresh basis factorizations /
-          re-inversions — the cost [factorizations] counts. Together
+      (** Wall time spent in fresh basis factorizations — the cost
+          [factorizations] counts. Together
           with [ftran_seconds]/[btran_seconds] this makes the
           factor-vs-solve split visible without a trace. *)
   ftran_seconds : float;  (** Wall time spent in forward solves. *)
@@ -156,19 +145,16 @@ val pp_stats : Format.formatter -> stats -> unit
 
 type state
 
-val create :
-  ?backend:backend -> ?pricing:pricing -> ?lu_rule:Lu.pivot_rule -> Lp.t -> state
-(** Builds solver storage for the model (default backend {!Sparse_lu},
-    default pricing {!Devex}). [lu_rule] selects the sparse
-    factorization's pivot search (see {!Lu.pivot_rule}); when omitted it
-    follows the pricing mode — [Devex] engines use [Lu.Bucket], while
-    [Partial] engines keep [Lu.Legacy] so the historical pivot order
-    (and with it the frozen node-count fixtures) is preserved
-    bit-exactly. Later mutations of the [Lp.t] are not observed except
+val create : ?pricing:pricing -> ?lu_rule:Lu.pivot_rule -> Lp.t -> state
+(** Builds solver storage for the model (default pricing {!Devex}).
+    [lu_rule] selects the factorization's pivot search (see
+    {!Lu.pivot_rule}); when omitted it follows the pricing mode —
+    [Devex] engines use [Lu.Bucket], while [Partial] engines keep
+    [Lu.Legacy] so the historical pivot order (and with it the frozen
+    node-count fixtures) is preserved bit-exactly. Later mutations of the [Lp.t] are not observed except
     through {!set_var_bounds}. The returned engine is owned by the
     calling domain (see the module preamble). *)
 
-val backend : state -> backend
 val pricing : state -> pricing
 
 val lu_rule : state -> Lu.pivot_rule
@@ -221,12 +207,7 @@ val dual_reopt : ?max_iters:int -> state -> result
     valid and equivalent to {!primal}. *)
 
 val solve :
-  ?backend:backend ->
-  ?pricing:pricing ->
-  ?lu_rule:Lu.pivot_rule ->
-  ?max_iters:int ->
-  Lp.t ->
-  result
+  ?pricing:pricing -> ?lu_rule:Lu.pivot_rule -> ?max_iters:int -> Lp.t -> result
 (** [solve lp] is [primal (create lp)]: one-shot LP relaxation solve. *)
 
 (** {1 Warm-start basis shipping} — consumed by {!Branch_bound}. *)
@@ -290,17 +271,16 @@ type snapshot = {
   s_infeasibility : infeasibility option;
       (** Set when the engine's last verdict was {!Infeasible}. *)
   s_pivot_order : (int * int) array option;
-      (** The sparse LU's [(row, slot)] elimination order for the
-          snapshotted basis ([None] under the dense backend or on a
-          singular refresh). *)
+      (** The LU's [(row, slot)] elimination order for the snapshotted
+          basis ([None] on a singular refresh). *)
 }
 
 val snapshot : state -> snapshot
 (** Captures the engine's current basis for exact a-posteriori
     verification. Call it immediately after the solve whose result is
     being certified — later solves or bound changes move the basis.
-    With the sparse backend this may refresh the factorization (so the
-    recorded pivot order describes exactly the snapshotted basis).
+    This may refresh the factorization (so the recorded pivot order
+    describes exactly the snapshotted basis).
     Owner-only, like every other entry point. *)
 
 val total_pivots : state -> int

@@ -315,9 +315,12 @@ let us t = t *. 1e6
 (* Every Trace record maps to exactly one trace_event, and the mapping
    is invertible (see [load]): payload fields ride in [args], the
    writer's sequence number included so merge order survives a
-   round-trip. Durationful events (LP solves, LU factorizations) become
-   "X" complete events whose [ts] is backdated by [dur] — Trace stamps
-   at completion. *)
+   round-trip. Durationful events (LP solves, LU factorizations,
+   certificate checks) become "X" complete events whose [ts] is
+   backdated by [dur] — Trace stamps at completion. That start is
+   clamped at zero and rounded in microseconds, so the original stamp
+   also rides in [args] as ["stamp"] (seconds) and is reloaded from
+   there exactly. *)
 let chrome_event (r : Trace.record) =
   let base ?(cat = "solver") ?ts ?dur ph name args =
     let fields =
@@ -333,6 +336,12 @@ let chrome_event (r : Trace.record) =
       @ [ ("args", Json.Obj (("seq", inum r.seq) :: args)) ]
     in
     Json.Obj fields
+  in
+  let complete ~cat name dt args =
+    base ~cat
+      ~ts:(Float.max 0. (us (r.ts -. dt)))
+      ~dur:(us dt) "X" name
+      (("stamp", num r.ts) :: args)
   in
   let instant ?cat ?(scope = "t") name args =
     match base ?cat "i" name args with
@@ -362,9 +371,7 @@ let chrome_event (r : Trace.record) =
        ]
       @ branch)
   | Lp_solve { kind; pivots; flips; obj; primal_res; dual_res; dt } ->
-    base ~cat:"lp"
-      ~ts:(Float.max 0. (us (r.ts -. dt)))
-      ~dur:(us dt) "X" "lp_solve"
+    complete ~cat:"lp" "lp_solve" dt
       [
         ("kind", Json.Str (Trace.lp_kind_name kind));
         ("pivots", inum pivots);
@@ -374,9 +381,7 @@ let chrome_event (r : Trace.record) =
         ("dual_res", num dual_res);
       ]
   | Lu_factor { m; fill; probes; dt } ->
-    base ~cat:"lp"
-      ~ts:(Float.max 0. (us (r.ts -. dt)))
-      ~dur:(us dt) "X" "lu_factor"
+    complete ~cat:"lp" "lu_factor" dt
       [ ("m", inum m); ("fill", inum fill); ("probes", inum probes) ]
   | Lu_refactor { trigger; etas } ->
     instant ~cat:"lp" "lu_refactor"
@@ -412,9 +417,7 @@ let chrome_event (r : Trace.record) =
         ("source", Json.Str (Trace.incumbent_source_name source));
       ]
   | Cert_check { node; verdict; kind; dt } ->
-    base ~cat:"certify"
-      ~ts:(Float.max 0. (us (r.ts -. dt)))
-      ~dur:(us dt) "X" "cert_check"
+    complete ~cat:"certify" "cert_check" dt
       [
         ("node", inum node);
         ("verdict", Json.Str (Trace.cert_verdict_name verdict));
@@ -555,7 +558,7 @@ let load_chrome j =
                     } )
               | "lp_solve", "X" ->
                 let dur = req_num e "dur" in
-                ( (ts_us +. dur) /. 1e6,
+                ( req_num args "stamp",
                   Lp_solve
                     {
                       kind = lp_kind_of_name (req_str args "kind");
@@ -568,7 +571,7 @@ let load_chrome j =
                     } )
               | "lu_factor", "X" ->
                 let dur = req_num e "dur" in
-                ( (ts_us +. dur) /. 1e6,
+                ( req_num args "stamp",
                   Lu_factor
                     {
                       m = opt_int args "m" ~default:0;
@@ -619,7 +622,7 @@ let load_chrome j =
                     } )
               | "cert_check", _ ->
                 let dur = req_num e "dur" in
-                ( (ts_us +. dur) /. 1e6,
+                ( req_num args "stamp",
                   Cert_check
                     {
                       node = req_int args "node";

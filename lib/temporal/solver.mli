@@ -31,7 +31,6 @@ val solve :
   ?presolve:bool ->
   ?lint:bool ->
   ?lint_options:Formulation.options ->
-  ?lp_backend:Ilp.Simplex.backend ->
   ?lp_pricing:Ilp.Simplex.pricing ->
   ?lp_lu:Ilp.Lu.pivot_rule ->
   ?jobs:int ->
@@ -71,15 +70,13 @@ val solve :
     bound: rows drop and bounds tighten while variable indices — and the
     reported model sizes — stay those of the paper's formulation.
 
-    [lp_backend] selects the simplex basis representation for node
-    relaxations (default {!Ilp.Simplex.Sparse_lu}); the dense baseline
-    is kept for cross-checks and benchmarking. [lp_pricing] selects
-    the pricing rule (default {!Ilp.Simplex.Devex} — note this differs
-    from {!Ilp.Branch_bound.default_options}, whose {!Ilp.Simplex.Partial}
+    [lp_pricing] selects the node-relaxation pricing rule (default
+    {!Ilp.Simplex.Devex} — note this differs from
+    {!Ilp.Branch_bound.default_options}, whose {!Ilp.Simplex.Partial}
     default is pinned by historical node-count regressions; devex with
     the bound-flipping dual ratio test is the fast path on the paper
-    models, see docs/PERFORMANCE.md). [lp_lu] selects the sparse LU
-    pivot search (see {!Ilp.Lu.pivot_rule}); omitted it follows the
+    models, see docs/PERFORMANCE.md). [lp_lu] selects the LU pivot
+    search (see {!Ilp.Lu.pivot_rule}); omitted it follows the
     pricing mode ({!Ilp.Lu.Bucket} under devex — the fast default —
     and {!Ilp.Lu.Legacy} under partial pricing).
 

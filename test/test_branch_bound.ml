@@ -294,7 +294,7 @@ let parallel_knapsack () =
   knapsack
     (Array.init 18 (fun i -> Float.of_int (5 + ((i * 7) mod 11))))
     (Array.init 18 (fun i -> Float.of_int (2 + ((i * 5) mod 9))))
-    31.
+    26.
 
 let test_parallel_matches_sequential () =
   let lp, _ = parallel_knapsack () in
@@ -306,7 +306,11 @@ let test_parallel_matches_sequential () =
   | (Bb.Optimal { obj = a; _ }, s1), (Bb.Optimal { obj = b; _ }, s4) ->
     check_float "same optimum" a b;
     Alcotest.(check int) "no workers sequential" 0 (Array.length s1.Bb.workers);
-    Alcotest.(check int) "one row per worker" 4 (Array.length s4.Bb.workers)
+    Alcotest.(check int) "one row per worker" 4 (Array.length s4.Bb.workers);
+    (* the tree must branch, or the workers would have nothing to do *)
+    Alcotest.(check bool) "root branches" true (s4.Bb.nodes > 1);
+    Alcotest.(check bool) "a worker evaluated nodes" true
+      (Array.exists (fun w -> w.Bb.w_nodes > 0) s4.Bb.workers)
   | (o1, _), (o4, _) ->
     Alcotest.failf "unexpected %a / %a" Bb.pp_outcome o1 Bb.pp_outcome o4
 

@@ -1,5 +1,5 @@
 (* Exact certification: hand-checked verdicts, corrupted-solution
-   refutation, and randomized agreement with the dense-backend oracle.
+   refutation, and randomized agreement with a partial-pricing solve.
    The random generators mirror test_simplex's mixed-sense models. *)
 
 module Lp = Ilp.Lp
@@ -7,8 +7,8 @@ module Sx = Ilp.Simplex
 module C = Ilp.Certify
 module R = Ilp.Rat
 
-let solve_snap ?backend lp =
-  let st = Sx.create ?backend lp in
+let solve_snap lp =
+  let st = Sx.create lp in
   let r = Sx.primal st in
   (r, Sx.snapshot st)
 
@@ -272,7 +272,7 @@ let certified_obj c =
 
 let prop_random_optima_certified =
   QCheck.Test.make
-    ~name:"random LP optima certify and agree with the dense oracle"
+    ~name:"random LP optima certify and agree with a partial-pricing solve"
     ~count:120
     QCheck.(int_bound 100_000)
     (fun seed ->
@@ -283,23 +283,24 @@ let prop_random_optima_certified =
         let c = C.check snap r in
         match (c.C.verdict, certified_obj c) with
         | C.Certified, Some obj ->
-            let oracle = Sx.solve ~backend:Sx.Dense lp in
+            (* a second engine: Partial pricing over Legacy LU *)
+            let oracle = Sx.solve ~pricing:Sx.Partial lp in
             Float.abs (R.to_float obj -. oracle.Sx.obj)
             <= 1e-6 *. (1. +. Float.abs oracle.Sx.obj)
         | _ -> false)
 
-let prop_dense_backend_certifies =
+let prop_greedy_pivots_certify =
   QCheck.Test.make
-    ~name:"dense-backend solves certify through the greedy pivot fallback"
+    ~name:"solves without a pivot order certify through the greedy pivot fallback"
     ~count:60
     QCheck.(int_bound 100_000)
     (fun seed ->
       let lp, _ = make_rand_mixed seed ~n:6 ~m:6 in
-      let r, snap = solve_snap ~backend:Sx.Dense lp in
+      let r, snap = solve_snap lp in
       if r.Sx.status <> Sx.Optimal then false
       else begin
-        let c = C.check snap r in
-        snap.Sx.s_pivot_order = None && c.C.verdict = C.Certified
+        let c = C.check { snap with Sx.s_pivot_order = None } r in
+        c.C.verdict = C.Certified
       end)
 
 let prop_corrupted_refuted =
@@ -392,7 +393,7 @@ let () =
       ( "properties",
         [
           qt prop_random_optima_certified;
-          qt prop_dense_backend_certifies;
+          qt prop_greedy_pivots_certify;
           qt prop_corrupted_refuted;
           qt prop_infeasible_farkas_certified;
         ] );

@@ -179,6 +179,13 @@ let prop_feasible_and_dominates =
         (* by construction the model is feasible and bounded *)
         false)
 
+(* Exact oracle for a float verdict: every [Optimal] must certify in
+   rational arithmetic, and no verdict may be refuted. *)
+let certify_ok st r =
+  let c = Ilp.Certify.check (Sx.snapshot st) r in
+  c.Ilp.Certify.verdict <> Ilp.Certify.Refuted
+  && (r.Sx.status <> Sx.Optimal || c.Ilp.Certify.verdict = Ilp.Certify.Certified)
+
 let prop_warm_start_agrees =
   QCheck.Test.make
     ~name:"dual_reopt after bound changes agrees with fresh primal" ~count:100
@@ -187,7 +194,7 @@ let prop_warm_start_agrees =
       let { lp; _ } = make_rand_lp seed ~n:6 ~m:8 in
       let st = Sx.create lp in
       let r0 = Sx.primal st in
-      if r0.Sx.status <> Sx.Optimal then false
+      if r0.Sx.status <> Sx.Optimal || not (certify_ok st r0) then false
       else begin
         let rng = Taskgraph.Prng.create (seed + 7) in
         let ok = ref true in
@@ -201,6 +208,7 @@ let prop_warm_start_agrees =
             else Sx.set_var_bounds st j ~lb:0. ~ub:5.
           done;
           let warm = Sx.dual_reopt st in
+          if not (certify_ok st warm) then ok := false;
           (* fresh state on the same bounds *)
           let lp2 = Lp.copy lp in
           for j = 0 to 5 do
@@ -272,62 +280,6 @@ let prop_mixed_senses =
         Ilp.Feas_check.is_feasible ~tol:1e-5 lp r.Sx.x
         && user_obj lp r +. 1e-5 >= Ilp.Feas_check.objective_value lp x0
       | Sx.Unbounded | Sx.Infeasible | Sx.Iter_limit -> false)
-
-(* The dense explicit-inverse backend and the sparse LU backend must be
-   observationally identical: same status, same objective (to roundoff),
-   and both residual-clean at an optimum. *)
-let prop_dense_sparse_agree =
-  QCheck.Test.make ~name:"dense and sparse backends agree" ~count:150
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      let lp, _ = make_rand_mixed seed ~n:8 ~m:9 in
-      let rd = Sx.solve ~backend:Sx.Dense lp in
-      let rs = Sx.solve ~backend:Sx.Sparse_lu lp in
-      rd.Sx.status = rs.Sx.status
-      &&
-      match rd.Sx.status with
-      | Sx.Optimal ->
-        Float.abs (rd.Sx.obj -. rs.Sx.obj) <= 1e-9
-        && rs.Sx.primal_res <= 1e-6
-        && rs.Sx.dual_res <= 1e-6
-        && rd.Sx.primal_res <= 1e-6
-        && rd.Sx.dual_res <= 1e-6
-      | Sx.Infeasible | Sx.Unbounded | Sx.Iter_limit -> true)
-
-let prop_dense_sparse_warm_agree =
-  QCheck.Test.make
-    ~name:"dense and sparse warm starts agree through bound changes"
-    ~count:60
-    QCheck.(int_bound 100_000)
-    (fun seed ->
-      let { lp; _ } = make_rand_lp seed ~n:7 ~m:9 in
-      let std = Sx.create ~backend:Sx.Dense lp in
-      let sts = Sx.create ~backend:Sx.Sparse_lu lp in
-      ignore (Sx.primal std);
-      ignore (Sx.primal sts);
-      let rng = Taskgraph.Prng.create (seed + 13) in
-      let ok = ref true in
-      for _round = 1 to 5 do
-        for j = 0 to 6 do
-          if Taskgraph.Prng.bool rng 0.4 then begin
-            let fix = Float.of_int (Taskgraph.Prng.int_in rng 0 3) in
-            Sx.set_var_bounds std j ~lb:fix ~ub:fix;
-            Sx.set_var_bounds sts j ~lb:fix ~ub:fix
-          end
-          else begin
-            Sx.set_var_bounds std j ~lb:0. ~ub:5.;
-            Sx.set_var_bounds sts j ~lb:0. ~ub:5.
-          end
-        done;
-        let rd = Sx.dual_reopt std in
-        let rs = Sx.dual_reopt sts in
-        match (rd.Sx.status, rs.Sx.status) with
-        | Sx.Optimal, Sx.Optimal ->
-          if Float.abs (rd.Sx.obj -. rs.Sx.obj) > 1e-9 then ok := false
-        | Sx.Infeasible, Sx.Infeasible -> ()
-        | _, _ -> ok := false
-      done;
-      !ok)
 
 let prop_lp_bound_below_milp =
   QCheck.Test.make ~name:"LP relaxation bounds the MILP optimum" ~count:80
@@ -472,66 +424,60 @@ let make_rand_01 seed ~n ~m =
   lp
 
 let prop_pricing_rules_agree =
-  QCheck.Test.make ~name:"devex and partial pricing agree (both backends)"
+  QCheck.Test.make ~name:"devex and partial pricing agree (exact check)"
     ~count:120
     QCheck.(int_bound 100_000)
     (fun seed ->
       let lp, _ = make_rand_mixed seed ~n:8 ~m:9 in
       let reference = Sx.solve ~pricing:Sx.Partial lp in
       List.for_all
-        (fun (backend, pricing) ->
-          let r = Sx.solve ~backend ~pricing lp in
+        (fun pricing ->
+          let st = Sx.create ~pricing lp in
+          let r = Sx.primal st in
           r.Sx.status = reference.Sx.status
+          && certify_ok st r
           &&
           match r.Sx.status with
-          | Sx.Optimal -> Float.abs (r.Sx.obj -. reference.Sx.obj) <= 1e-7
+          | Sx.Optimal ->
+            Float.abs (r.Sx.obj -. reference.Sx.obj) <= 1e-7
+            && r.Sx.primal_res <= 1e-6
+            && r.Sx.dual_res <= 1e-6
           | Sx.Infeasible | Sx.Unbounded | Sx.Iter_limit -> true)
-        [ (Sx.Dense, Sx.Devex); (Sx.Sparse_lu, Sx.Devex);
-          (Sx.Dense, Sx.Partial); (Sx.Sparse_lu, Sx.Partial) ])
+        [ Sx.Devex; Sx.Partial ])
 
 let prop_devex_01_warm_parity =
   QCheck.Test.make
-    ~name:"devex bound flips: dense/sparse/fresh agree on warm 0-1 models"
+    ~name:"devex bound flips: warm and fresh agree on 0-1 models, certified"
     ~count:80
     QCheck.(int_bound 100_000)
     (fun seed ->
       let lp = make_rand_01 seed ~n:8 ~m:6 in
-      let std = Sx.create ~backend:Sx.Dense lp in
-      let sts = Sx.create ~backend:Sx.Sparse_lu lp in
-      ignore (Sx.primal std);
-      ignore (Sx.primal sts);
+      let st = Sx.create lp in
+      ignore (Sx.primal st);
       let rng = Taskgraph.Prng.create (seed + 41) in
       let ok = ref true in
       for _round = 1 to 4 do
         for j = 0 to 7 do
           if Taskgraph.Prng.bool rng 0.35 then begin
             let fix = Float.of_int (Taskgraph.Prng.int rng 2) in
-            Sx.set_var_bounds std j ~lb:fix ~ub:fix;
-            Sx.set_var_bounds sts j ~lb:fix ~ub:fix
+            Sx.set_var_bounds st j ~lb:fix ~ub:fix
           end
-          else begin
-            Sx.set_var_bounds std j ~lb:0. ~ub:1.;
-            Sx.set_var_bounds sts j ~lb:0. ~ub:1.
-          end
+          else Sx.set_var_bounds st j ~lb:0. ~ub:1.
         done;
-        let rd = Sx.dual_reopt std in
-        let rs = Sx.dual_reopt sts in
-        (match (rd.Sx.status, rs.Sx.status) with
-         | Sx.Optimal, Sx.Optimal ->
-           if Float.abs (rd.Sx.obj -. rs.Sx.obj) > 1e-7 then ok := false;
-           (* and both match a cold solve of the same box *)
-           let lp2 = Lp.copy lp in
-           for j = 0 to 7 do
-             let lb, ub = Sx.get_var_bounds std j in
-             Lp.set_bounds lp2 (Lp.var_of_int lp2 j) ~lb ~ub
-           done;
-           let fresh = Sx.solve lp2 in
-           if
-             fresh.Sx.status <> Sx.Optimal
-             || Float.abs (fresh.Sx.obj -. rs.Sx.obj) > 1e-7
-           then ok := false
-         | Sx.Infeasible, Sx.Infeasible -> ()
-         | _, _ -> ok := false)
+        let warm = Sx.dual_reopt st in
+        if not (certify_ok st warm) then ok := false;
+        (* the warm result matches a cold solve of the same box *)
+        let lp2 = Lp.copy lp in
+        for j = 0 to 7 do
+          let lb, ub = Sx.get_var_bounds st j in
+          Lp.set_bounds lp2 (Lp.var_of_int lp2 j) ~lb ~ub
+        done;
+        let fresh = Sx.solve lp2 in
+        match (warm.Sx.status, fresh.Sx.status) with
+        | Sx.Optimal, Sx.Optimal ->
+          if Float.abs (fresh.Sx.obj -. warm.Sx.obj) > 1e-7 then ok := false
+        | Sx.Infeasible, Sx.Infeasible -> ()
+        | _, _ -> ok := false
       done;
       !ok)
 
@@ -660,8 +606,7 @@ let () =
         ] );
       ( "properties",
         [ qt prop_feasible_and_dominates; qt prop_warm_start_agrees;
-          qt prop_mixed_senses; qt prop_dense_sparse_agree;
-          qt prop_dense_sparse_warm_agree; qt prop_pricing_rules_agree;
+          qt prop_mixed_senses; qt prop_pricing_rules_agree;
           qt prop_devex_01_warm_parity; qt prop_lp_bound_below_milp;
           qt prop_shipped_basis_reaches_optimum ] );
     ]

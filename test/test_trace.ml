@@ -248,21 +248,10 @@ let test_chrome_roundtrip () =
 let test_lu_factor_roundtrip () =
   let t = Trace.create () in
   let w = Trace.main t in
-  (* Keep the stamps apart from each other and from zero. The chrome
-     codec stores an event's start as [ts - dt] clamped at zero and
-     reloads its stamp as start + dur in float microseconds. A stamp
-     within dt of [Trace.create] would be clamped, and two stamps from
-     the same clock tick (microsecond resolution) could reload one ulp
-     out of order. Spinning 1 us before each emit rules out both. *)
-  let spin () =
-    let t0 = Ilp.Mono.now () in
-    while Ilp.Mono.elapsed_since t0 < 1e-6 do
-      ()
-    done
-  in
-  spin ();
+  (* Emitted back to back: both stamps may fall in one clock tick and
+     within [dt] of [Trace.create], so the chrome codec must reload them
+     exactly rather than from the clamped, rounded start + dur. *)
   Trace.emit w (Trace.Lu_factor { m = 37; fill = 245; probes = 112; dt = 3.25e-7 });
-  spin ();
   Trace.emit w (Trace.Lu_factor { m = 1; fill = 1; probes = 0; dt = 0. });
   let records = Trace.collect t in
   List.iter
