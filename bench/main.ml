@@ -332,7 +332,7 @@ let ablation () =
     points
 
 (* ------------------------------------------------------------------ *)
-(* LP engine: devex + bound-flipping ratio test vs partial pricing      *)
+(* LP engine: devex pricing vs partial pricing                         *)
 (* ------------------------------------------------------------------ *)
 
 type lp_row = {
@@ -361,7 +361,7 @@ let lp_rows : lp_row list ref = ref []
 
 let lp_bench ~quick () =
   section
-    "LP engine: devex pricing + bound-flipping dual ratio test vs the\n\
+    "LP engine: devex pricing + dual devex warm dual loop vs the\n\
      partial-pricing baseline (root relaxation of the tightened model at\n\
      the Table 4 design points; the full-solve\n\
      column runs the production search under the devex default --\n\

@@ -5,6 +5,7 @@ type counter =
   | C_lp_solves
   | C_lp_pivots
   | C_lp_bound_flips
+  | C_lp_dual_stalls
   | C_ftran_solves
   | C_ftran_hyper
   | C_btran_solves
@@ -34,6 +35,7 @@ let counter_name = function
   | C_lp_solves -> "lp_solves"
   | C_lp_pivots -> "lp_pivots"
   | C_lp_bound_flips -> "lp_bound_flips"
+  | C_lp_dual_stalls -> "lp_dual_stalls"
   | C_ftran_solves -> "ftran_solves"
   | C_ftran_hyper -> "ftran_hyper"
   | C_btran_solves -> "btran_solves"
@@ -71,6 +73,7 @@ let all_counters =
     C_lp_solves;
     C_lp_pivots;
     C_lp_bound_flips;
+    C_lp_dual_stalls;
     C_ftran_solves;
     C_ftran_hyper;
     C_btran_solves;
@@ -106,23 +109,24 @@ let counter_index = function
   | C_lp_solves -> 3
   | C_lp_pivots -> 4
   | C_lp_bound_flips -> 5
-  | C_ftran_solves -> 6
-  | C_ftran_hyper -> 7
-  | C_btran_solves -> 8
-  | C_btran_hyper -> 9
-  | C_lu_factorizations -> 10
-  | C_lu_refactorizations -> 11
-  | C_lu_probes -> 12
-  | C_cut_rounds -> 13
-  | C_cuts_separated -> 14
-  | C_prop_runs -> 15
-  | C_prop_fixings -> 16
-  | C_heur_runs -> 17
-  | C_heur_incumbents -> 18
-  | C_pool_steals -> 19
-  | C_pool_handoffs -> 20
-  | C_pool_hungry_polls -> 21
-  | C_trace_dropped_events -> 22
+  | C_lp_dual_stalls -> 6
+  | C_ftran_solves -> 7
+  | C_ftran_hyper -> 8
+  | C_btran_solves -> 9
+  | C_btran_hyper -> 10
+  | C_lu_factorizations -> 11
+  | C_lu_refactorizations -> 12
+  | C_lu_probes -> 13
+  | C_cut_rounds -> 14
+  | C_cuts_separated -> 15
+  | C_prop_runs -> 16
+  | C_prop_fixings -> 17
+  | C_heur_runs -> 18
+  | C_heur_incumbents -> 19
+  | C_pool_steals -> 20
+  | C_pool_handoffs -> 21
+  | C_pool_hungry_polls -> 22
+  | C_trace_dropped_events -> 23
 
 let gauge_index = function
   | G_open_nodes -> 0

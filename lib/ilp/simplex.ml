@@ -34,6 +34,7 @@ type stats = {
   btran_seconds : float;
   pivots : int;
   bound_flips : int;
+  dual_stalls : int;
   minor_words : float;
   major_words : float;
   compactions : int;
@@ -52,6 +53,7 @@ let empty_stats =
     btran_seconds = 0.;
     pivots = 0;
     bound_flips = 0;
+    dual_stalls = 0;
     minor_words = 0.;
     major_words = 0.;
     compactions = 0;
@@ -70,6 +72,7 @@ let add_stats a b =
     btran_seconds = a.btran_seconds +. b.btran_seconds;
     pivots = a.pivots + b.pivots;
     bound_flips = a.bound_flips + b.bound_flips;
+    dual_stalls = a.dual_stalls + b.dual_stalls;
     minor_words = a.minor_words +. b.minor_words;
     major_words = a.major_words +. b.major_words;
     compactions = a.compactions + b.compactions;
@@ -79,10 +82,11 @@ let pp_stats ppf s =
   Format.fprintf ppf
     "factorizations=%d fill=%d etas=%d refactors(eta/numeric/residual)=%d/%d/%d \
      factor=%.3fs ftran=%.3fs btran=%.3fs pivots=%d flips=%d \
-     gc(minor/major)=%.0f/%.0fw compactions=%d"
+     stalls=%d gc(minor/major)=%.0f/%.0fw compactions=%d"
     s.factorizations s.fill s.etas s.refactor_eta s.refactor_numeric
     s.refactor_residual s.factor_time_s s.ftran_seconds s.btran_seconds
-    s.pivots s.bound_flips s.minor_words s.major_words s.compactions
+    s.pivots s.bound_flips s.dual_stalls s.minor_words s.major_words
+    s.compactions
 
 type vstat = Basic | At_lower | At_upper | Free_zero
 
@@ -148,12 +152,12 @@ type state = {
   mutable alpha_stamp : int;
   dj : float array;  (* reduced costs, maintained incrementally (devex) *)
   dvx_w : float array;  (* devex reference weights *)
-  bp_col : int array;  (* dual ratio-test breakpoints: columns *)
-  bp_ratio : float array;  (* matching |dj/alpha| ratios *)
+  dual_w : float array;  (* dual devex reference weights, per slot *)
   cand : int array;  (* partial-pricing candidate list *)
   mutable ncand : int;
   mutable total_pivots : int;
   mutable bound_flips : int;  (* bound flips without a basis change *)
+  mutable dual_stalls : int;  (* dual loops that hit their cap *)
   mutable refactors : int;
   mutable bland : bool;  (* anti-cycling mode *)
   mutable degen_streak : int;
@@ -243,6 +247,7 @@ let stats st =
     btran_seconds = st.t_btran;
     pivots = st.total_pivots;
     bound_flips = st.bound_flips;
+    dual_stalls = st.dual_stalls;
     minor_words = st.gc_minor;
     major_words = st.gc_major;
     compactions = st.gc_compactions;
@@ -364,12 +369,12 @@ let create ?(pricing = Devex) ?lu_rule lp =
     alpha_stamp = 0;
     dj = Array.make ncols 0.;
     dvx_w = Array.make ncols 1.;
-    bp_col = Array.make ncols 0;
-    bp_ratio = Array.make ncols 0.;
+    dual_w = Array.make m 1.;
     cand = Array.make (Int.max 16 (ncols / 10)) 0;
     ncand = 0;
     total_pivots = 0;
     bound_flips = 0;
+    dual_stalls = 0;
     refactors = 0;
     bland = false;
     degen_streak = 0;
@@ -500,13 +505,6 @@ let update_xb_step st coef =
         st.xb.(i) <- st.xb.(i) -. (coef *. st.w.(i))
       done
   end
-
-(* Dense ftran of an arbitrary right-hand side in place (used for the
-   batched bound-flip update, whose rhs aggregates several columns). *)
-let ftran_vec st v =
-  let t0 = now () in
-  Lu.ftran (lu_of st) v;
-  st.t_ftran <- st.t_ftran +. (now () -. t0)
 
 (* xb <- Binv * (rhs - sum of nonbasic columns at their values). A
    residual check on the recomputed basic solution triggers
@@ -1469,64 +1467,103 @@ let dual_loop_classic st max_iters =
   done;
   (Option.get !outcome, !iters)
 
-(* In-place quicksort of the breakpoint arrays by ratio (ascending),
-   Hoare partition with median-of-three (the ratios of a warm restart
-   arrive nearly sorted, which would send a naive pivot quadratic). *)
-let swap_bp st i j =
-  let c = st.bp_col.(i) in
-  st.bp_col.(i) <- st.bp_col.(j);
-  st.bp_col.(j) <- c;
-  let r = st.bp_ratio.(i) in
-  st.bp_ratio.(i) <- st.bp_ratio.(j);
-  st.bp_ratio.(j) <- r
-
-let rec sort_bp st lo hi =
-  if lo < hi then begin
-    let mid = lo + ((hi - lo) / 2) in
-    if st.bp_ratio.(mid) < st.bp_ratio.(lo) then swap_bp st lo mid;
-    if st.bp_ratio.(hi) < st.bp_ratio.(lo) then swap_bp st lo hi;
-    if st.bp_ratio.(hi) < st.bp_ratio.(mid) then swap_bp st mid hi;
-    let p = st.bp_ratio.(mid) in
-    let i = ref lo and j = ref hi in
-    while !i <= !j do
-      while st.bp_ratio.(!i) < p do
-        incr i
-      done;
-      while st.bp_ratio.(!j) > p do
-        decr j
-      done;
-      if !i <= !j then begin
-        swap_bp st !i !j;
-        incr i;
-        decr j
+(* Dual devex pricing of the leaving row: the out-of-bounds basic slot
+   maximizing infeasibility^2 / row weight, the dual counterpart of
+   [price_devex] (Forrest & Goldfarb 1992). With every weight at 1 this
+   is the most violated row. *)
+let price_dual_devex st =
+  let best = ref (-1) and best_above = ref false and best_merit = ref 0. in
+  for i = 0 to st.m - 1 do
+    let k = st.basis.(i) in
+    let above = st.xb.(i) -. st.ub.(k) and below = st.lb.(k) -. st.xb.(i) in
+    let inf = if above > ftol then above else below in
+    if inf > ftol then begin
+      let merit = inf *. inf /. st.dual_w.(i) in
+      if merit > !best_merit then begin
+        best := i;
+        best_above := above > ftol;
+        best_merit := merit
       end
+    end
+  done;
+  if !best < 0 then None else Some (!best, !best_above)
+
+(* Dual devex weight update after a pivot in slot [r] whose entering
+   column's transform B^-1 a_q sits in [st.w] (pivot element
+   [alpha_rq]). Runs before the basis exchange touches [w]. *)
+let update_dual_weights st r alpha_rq =
+  let wr = st.dual_w.(r) in
+  let wr' = Float.max (wr /. (alpha_rq *. alpha_rq)) 1. in
+  let wmax = ref wr' in
+  let bump i =
+    if i <> r then begin
+      let ratio = st.w.(i) /. alpha_rq in
+      let cand = ratio *. ratio *. wr in
+      if cand > st.dual_w.(i) then begin
+        st.dual_w.(i) <- cand;
+        if cand > !wmax then wmax := cand
+      end
+    end
+  in
+  if st.wpat_n < 0 then
+    for i = 0 to st.m - 1 do
+      bump i
+    done
+  else
+    for k = 0 to st.wpat_n - 1 do
+      bump st.wpat.(k)
     done;
-    sort_bp st lo !j;
-    sort_bp st !i hi
-  end
+  st.dual_w.(r) <- wr';
+  (* Only this update can push a weight past the bound. As in
+     [update_dj_devex], a runaway weight restarts the reference
+     framework from the current basis. *)
+  if !wmax > devex_reset then Array.fill st.dual_w 0 st.m 1.
 
 (* The devex-era dual loop: one hyper-sparse btran builds the pivot row
    through the CSR mirror, entering candidates come from the
    incrementally maintained dj (no per-column dot products), and the
-   ratio test is bound-flipping: breakpoints are walked in ratio order
-   and every boxed candidate whose flip leaves the row still infeasible
-   jumps to its other bound without a basis change — all flips applied
-   in one batched ftran. On 0-1 models this replaces long chains of
-   degenerate basis exchanges with a single pivot. *)
-let dual_loop_bfrt st max_iters =
+   leaving row is priced with dual devex weights. The ratio test takes
+   the minimum |dj/alpha|, breaking ties (within 1e-12) towards the
+   largest |alpha| as [dual_loop_classic] does: on the degenerate 0-1
+   node LPs of the paper models most ratios tie at 0, and a small pivot
+   there sends the loop into long stalls. *)
+let dual_loop_devex st max_iters =
   let iters = ref 0 in
   let outcome = ref None in
   recompute_dj st st.cost;
+  Array.fill st.dual_w 0 st.m 1.;
   while !outcome = None do
     if !iters >= max_iters then outcome := Some `Stalled
     else
-      match most_violated_row st with
+      match price_dual_devex st with
       | None -> outcome := Some `Primal_feasible
-      | Some (r, above) ->
-        (* No eligible entering column: primal infeasible — unless
-           accumulated update error faked the dead end, so re-derive
-           from a fresh factorization before trusting it. *)
-        let infeasible_here () =
+      | Some (r, above) -> (
+        let rho = dual_row st r in
+        build_alpha st rho;
+        let best = ref (-1) and best_ratio = ref Float.infinity in
+        let best_alpha = ref 0. in
+        for t = 0 to st.alpha_n - 1 do
+          let j = st.alpha_pat.(t) in
+          if st.stat.(j) <> Basic && not (is_fixed st j) then begin
+            let alpha = st.alpha.(j) in
+            if dual_eligible st j alpha above then begin
+              let ratio = Float.abs (st.dj.(j) /. alpha) in
+              if
+                ratio < !best_ratio -. 1e-12
+                || (ratio < !best_ratio +. 1e-12
+                    && Float.abs alpha > Float.abs !best_alpha)
+              then begin
+                best := j;
+                best_ratio := ratio;
+                best_alpha := alpha
+              end
+            end
+          end
+        done;
+        if !best < 0 then begin
+          (* No eligible entering column: primal infeasible — unless
+             accumulated update error faked the dead end, so re-derive
+             from a fresh factorization before trusting it. *)
           if st.pivots_since_refactor > 0 then begin
             st.rf_numeric <- st.rf_numeric + 1;
             emit_refactor st Trace.Rf_numeric;
@@ -1535,120 +1572,52 @@ let dual_loop_bfrt st max_iters =
             incr iters
           end
           else outcome := Some (`Infeasible (r, above))
-        in
-        let rho = dual_row st r in
-        build_alpha st rho;
-        (* collect the eligible breakpoints with their dual ratios *)
-        let nbp = ref 0 in
-        for t = 0 to st.alpha_n - 1 do
-          let j = st.alpha_pat.(t) in
-          if st.stat.(j) <> Basic && not (is_fixed st j) then begin
-            let alpha = st.alpha.(j) in
-            if dual_eligible st j alpha above then begin
-              st.bp_col.(!nbp) <- j;
-              st.bp_ratio.(!nbp) <- Float.abs (st.dj.(j) /. alpha);
-              incr nbp
-            end
-          end
-        done;
-        if !nbp = 0 then infeasible_here ()
-        else begin
-          sort_bp st 0 (!nbp - 1);
-          let k = st.basis.(r) in
-          (* remaining infeasibility of the violated row; each flip of a
-             boxed candidate j reduces it by |alpha_j| * span_j *)
-          let rem =
-            ref
-              (if above then st.xb.(r) -. st.ub.(k)
-               else st.lb.(k) -. st.xb.(r))
-          in
-          let chosen = ref (-1) and nflip = ref 0 in
-          let t = ref 0 in
-          while !chosen < 0 && !t < !nbp do
-            let j = st.bp_col.(!t) in
-            let a = Float.abs st.alpha.(j) in
-            let span = st.ub.(j) -. st.lb.(j) in
-            if Float.is_finite span && !rem -. (a *. span) > ftol then begin
-              rem := !rem -. (a *. span);
-              nflip := !t + 1;
-              incr t
-            end
-            else chosen := j
-          done;
-          if !chosen < 0 then
-            (* Every breakpoint was exhausted with the row still
-               infeasible: the dual is unbounded, i.e. the primal is
-               infeasible. No flips were applied, so the certificate
-               below describes the untouched basis and statuses. *)
-            infeasible_here ()
-          else begin
-            let j = !chosen in
-            (* apply the passed-through flips as one batch:
-               xb -= B^-1 (sum of dv_p * A_p) with a single solve *)
-            if !nflip > 0 then begin
-              Vec.fill st.tmp 0.;
-              for t = 0 to !nflip - 1 do
-                let p = st.bp_col.(t) in
-                let dv, ns =
-                  match st.stat.(p) with
-                  | At_lower -> (st.ub.(p) -. st.lb.(p), At_upper)
-                  | At_upper -> (st.lb.(p) -. st.ub.(p), At_lower)
-                  | Free_zero | Basic -> assert false
-                in
-                st.stat.(p) <- ns;
-                Sparse.Csc.add_col_to_dense ~scale:dv st.mat p st.tmp
-              done;
-              ftran_vec st st.tmp;
-              for i = 0 to st.m - 1 do
-                st.xb.(i) <- st.xb.(i) -. st.tmp.(i)
-              done;
-              st.bound_flips <- st.bound_flips + !nflip
-            end;
-            ftran_col st j;
-            let alpha_rj = st.w.(r) in
-            if Float.abs alpha_rj < ptol then begin
-              st.rf_numeric <- st.rf_numeric + 1;
-              emit_refactor st Trace.Rf_numeric;
-              refactor st;
-              recompute_dj st st.cost;
-              incr iters (* the flips stand; retry from a clean basis *)
-            end
-            else begin
-              let bound = if above then st.ub.(k) else st.lb.(k) in
-              let theta = (st.xb.(r) -. bound) /. alpha_rj in
-              let entering_value = nb_value st j +. theta in
-              (* dj update from the already-built pivot row, before any
-                 status changes of j and k (flipped columns stay
-                 nonbasic, so they were updated like the rest) *)
-              update_dj_devex st ~q:j ~leaving:k ~alpha_rq:alpha_rj
-                ~update_weights:false;
-              update_xb_step st theta;
-              update_factor st r;
-              st.basis.(r) <- j;
-              st.pos.(j) <- r;
-              st.pos.(k) <- -1;
-              st.stat.(j) <- Basic;
-              st.stat.(k) <- (if above then At_upper else At_lower);
-              st.xb.(r) <- entering_value;
-              incr iters;
-              st.total_pivots <- st.total_pivots + 1;
-              st.pivots_since_refactor <- st.pivots_since_refactor + 1;
-              if due_refresh st then begin
-                st.rf_eta <- st.rf_eta + 1;
-                emit_refactor st Trace.Rf_eta;
-                refactor st;
-                recompute_dj st st.cost
-              end
-            end
-          end
         end
+        else
+          let j = !best and k = st.basis.(r) in
+          ftran_col st j;
+          let alpha_rj = st.w.(r) in
+          if Float.abs alpha_rj < ptol then begin
+            st.rf_numeric <- st.rf_numeric + 1;
+            emit_refactor st Trace.Rf_numeric;
+            refactor st;
+            recompute_dj st st.cost;
+            incr iters (* retry from a clean basis *)
+          end
+          else begin
+            let bound = if above then st.ub.(k) else st.lb.(k) in
+            let theta = (st.xb.(r) -. bound) /. alpha_rj in
+            let entering_value = nb_value st j +. theta in
+            update_dual_weights st r alpha_rj;
+            (* dj update from the already-built pivot row, before the
+               statuses of j and k change *)
+            update_dj_devex st ~q:j ~leaving:k ~alpha_rq:alpha_rj
+              ~update_weights:false;
+            update_xb_step st theta;
+            update_factor st r;
+            st.basis.(r) <- j;
+            st.pos.(j) <- r;
+            st.pos.(k) <- -1;
+            st.stat.(j) <- Basic;
+            st.stat.(k) <- (if above then At_upper else At_lower);
+            st.xb.(r) <- entering_value;
+            incr iters;
+            st.total_pivots <- st.total_pivots + 1;
+            st.pivots_since_refactor <- st.pivots_since_refactor + 1;
+            if due_refresh st then begin
+              st.rf_eta <- st.rf_eta + 1;
+              emit_refactor st Trace.Rf_eta;
+              refactor st;
+              recompute_dj st st.cost
+            end
+          end)
   done;
   (Option.get !outcome, !iters)
 
 let dual_loop st max_iters =
   match st.pricing with
   | Partial -> dual_loop_classic st max_iters
-  | Devex -> dual_loop_bfrt st max_iters
+  | Devex -> dual_loop_devex st max_iters
 
 let snapshot st =
   check_owner st "snapshot";
@@ -1775,6 +1744,8 @@ let dual_reopt_core ~max_iters st =
     let res = mk_result st Infeasible ~iterations:it in
     { res with farkas = Some { ray; row } }
   | `Stalled, _ ->
+    st.dual_stalls <- st.dual_stalls + 1;
+    if Metrics.active st.ms then Metrics.incr st.ms Metrics.C_lp_dual_stalls;
     Log.debug (fun f -> f "dual re-optimization stalled; primal restart");
     primal_core ~max_iters st
   | `Primal_feasible, it1 -> (

@@ -14,15 +14,16 @@
       infeasibility;
     - two pricing rules (see {!pricing}): the default {!Devex}
       maintains reduced costs incrementally and prices with devex
-      reference weights, paired with a bound-flipping dual ratio test;
+      reference weights, paired with dual devex row pricing;
       the legacy {!Partial} is Dantzig pricing over a partial-pricing
       candidate list. Both declare optimality only from a full
       fresh-cost scan, and both switch to Bland's rule under
       degeneracy (anti-cycling);
     - a dual-simplex re-optimization loop supports warm starts after
       bound changes, which is what {!Branch_bound} uses between nodes.
-      Under {!Devex} it batches bound flips of boxed candidates into
-      one solve instead of pivoting through them (see docs/PERFORMANCE.md).
+      Under {!Devex} it prices the leaving row with dual devex weights
+      and breaks ratio-test ties towards the largest pivot (see
+      docs/PERFORMANCE.md).
 
     A {!state} owns all solver storage and is {b bound to the domain
     that created it}: the engine is stamped with the creating domain's
@@ -96,7 +97,7 @@ type pricing =
       (** Devex reference-weight pricing over incrementally maintained
           reduced costs (default). Each basis change updates the whole
           reduced-cost row from one hyper-sparse [btran] and one CSR
-          pass; the dual loop uses a bound-flipping ratio test. An
+          pass; the dual loop prices rows with dual devex weights. An
           optimal or unbounded verdict is only declared after a
           from-scratch recomputation confirms it. *)
 
@@ -121,10 +122,13 @@ type stats = {
   btran_seconds : float;  (** Wall time spent in transposed solves. *)
   pivots : int;  (** Cumulative basis-changing simplex pivots. *)
   bound_flips : int;
-      (** Cumulative bound flips applied without a basis change: ratio
-          tests that sent the entering column to its opposite bound,
-          and the candidates a bound-flipping dual ratio test passed
-          through. Not included in [pivots]. *)
+      (** Cumulative bound flips applied without a basis change: primal
+          ratio tests that sent the entering column to its opposite
+          bound. Not included in [pivots]. *)
+  dual_stalls : int;
+      (** Warm dual re-optimizations ({!dual_reopt}) that hit the dual
+          iteration cap and restarted from a primal solve. 0 on a
+          healthy run. *)
   minor_words : float;
       (** [Gc.quick_stat] minor-heap words allocated inside
           {!primal}/{!dual_reopt} calls on this engine — the hot path's
@@ -188,10 +192,10 @@ val set_metrics : state -> Metrics.shard -> unit
 (** Routes engine counters to a {!Metrics} shard: per-solve
     [C_lp_solves]/[C_lp_pivots]/[C_lp_bound_flips] (measured as the
     same deltas as the trace events, so final-snapshot totals equal
-    the engine counters exactly), hyper-sparse FTRAN/BTRAN hit
-    counters on the pattern-capable kernels, factorization and
-    refactorization counts, and the factor-time and LP-solve-time
-    histograms. The default is {!Metrics.null_shard} (one branch per
+    the engine counters exactly), [C_lp_dual_stalls], hyper-sparse
+    FTRAN/BTRAN hit counters on the pattern-capable kernels,
+    factorization and refactorization counts, and the factor-time and
+    LP-solve-time histograms. The default is {!Metrics.null_shard} (one branch per
     site). The shard must belong to the engine's owning domain. *)
 
 val primal : ?max_iters:int -> state -> result
@@ -288,7 +292,7 @@ val total_pivots : state -> int
     state (bound flips are counted separately, see {!bound_flips}). *)
 
 val bound_flips : state -> int
-(** Cumulative bound flips performed without a basis change. *)
+(** Cumulative primal bound flips performed without a basis change. *)
 
 val refactorizations : state -> int
 (** Number of basis refactorizations, whatever the trigger (periodic,

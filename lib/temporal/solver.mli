@@ -74,8 +74,8 @@ val solve :
     {!Ilp.Simplex.Devex} — note this differs from
     {!Ilp.Branch_bound.default_options}, whose {!Ilp.Simplex.Partial}
     default is pinned by historical node-count regressions; devex with
-    the bound-flipping dual ratio test is the fast path on the paper
-    models, see docs/PERFORMANCE.md). [lp_lu] selects the LU pivot
+    dual devex row pricing in the warm dual loop is the fast path on
+    the paper models, see docs/PERFORMANCE.md). [lp_lu] selects the LU pivot
     search (see {!Ilp.Lu.pivot_rule}); omitted it follows the
     pricing mode ({!Ilp.Lu.Bucket} under devex — the fast default —
     and {!Ilp.Lu.Legacy} under partial pricing).

@@ -151,6 +151,25 @@ let test_split_tasks_mode () =
     Alcotest.(check int) "one op per partition" 6 sol.Sol.partitions_used
   | o -> Alcotest.failf "unexpected %a" Solver.pp_outcome o
 
+let test_paper1_warm_dual_no_stall () =
+  (* Table-4 row 1 (graph 1, N=3, L=1) under the default engine: the
+     warm-started node LPs must never hit the dual iteration cap. A
+     stalling dual loop restarts primal silently and needs hundreds of
+     thousands of pivots here; the healthy loop needs about 5 000. *)
+  let spec =
+    spec_of ~cap:70 ~ms:30 ~l:1 ~n:3 ~ams:(2, 2, 1) (Ex.paper_graph 1)
+  in
+  let report = Solver.solve (F.build spec) in
+  (match report.Solver.outcome with
+   | Solver.Feasible sol -> Alcotest.(check int) "cost 6" 6 sol.Sol.comm_cost
+   | o -> Alcotest.failf "unexpected %a" Solver.pp_outcome o);
+  let lp = report.Solver.stats.Bb.lp_stats in
+  Alcotest.(check int) "no dual stalls" 0 lp.Ilp.Simplex.dual_stalls;
+  Alcotest.(check bool)
+    (Printf.sprintf "pivots %d < 50000" lp.Ilp.Simplex.pivots)
+    true
+    (lp.Ilp.Simplex.pivots < 50_000)
+
 let () =
   Alcotest.run "integration"
     [
@@ -175,5 +194,7 @@ let () =
           Alcotest.test_case "warm/cold agree" `Quick
             test_warm_cold_agree_on_temporal_model;
           Alcotest.test_case "split-tasks mode" `Slow test_split_tasks_mode;
+          Alcotest.test_case "paper:1 warm dual does not stall" `Quick
+            test_paper1_warm_dual_no_stall;
         ] );
     ]

@@ -314,17 +314,17 @@ let prop_lp_bound_below_milp =
       | _ -> false)
 
 
-(* ---------------- pricing rules and bound flips ---------------- *)
+(* ---------------- pricing rules and warm dual repairs ---------------- *)
 
-(* Hand-built 0-1 model where the dual bound-flipping ratio test
-   provably flips: one equality row
+(* Hand-built 0-1 model whose warm repair must push a boxed column to
+   its upper bound: one equality row
      x1 + x2 + 0.5 x3 + x4 + y = 2
    with x1, x2, x3, x4 in [0,1], y in [0, 0.3], maximizing
    x1 + x2 - 0.6 x3 - 2 x4. The optimum is x1 = x2 = 1 with y basic at
-   0. Fixing x1 at 0 pushes y to 1 > 0.3; the cheapest repair flips x3
-   to its upper bound (ratio 1.2, reducing the excess by 0.5) and then
-   pivots x4 in for the remaining 0.2 — one basis change, one flip. *)
-let bfrt_model () =
+   0. Fixing x1 at 0 pushes y to 1 > 0.3; the cheapest repair raises x3
+   to its upper bound (ratio 1.2, reducing the excess by 0.5) and takes
+   the remaining 0.2 from x4. *)
+let boxed_repair_model () =
   let lp = Lp.create () in
   let x1 = Lp.add_var lp ~ub:1. Lp.Continuous in
   let x2 = Lp.add_var lp ~ub:1. Lp.Continuous in
@@ -339,19 +339,17 @@ let bfrt_model () =
     [ (1., x1); (1., x2); (-0.6, x3); (-2., x4) ];
   lp
 
-let test_bfrt_flips_to_optimum () =
-  let lp = bfrt_model () in
+let test_dual_repairs_to_optimum () =
+  let lp = boxed_repair_model () in
   let st = Sx.create lp in
   let r0 = Sx.primal st in
   Alcotest.(check bool) "cold optimal" true (r0.Sx.status = Sx.Optimal);
   check_float "cold obj" 2. (user_obj lp r0);
-  let flips0 = Sx.bound_flips st in
   Sx.set_var_bounds st 0 ~lb:0. ~ub:0.;
   let warm = Sx.dual_reopt st in
   Alcotest.(check bool) "warm optimal" true (warm.Sx.status = Sx.Optimal);
   check_float "warm obj" 0. (user_obj lp warm);
-  Alcotest.(check bool) "flip happened" true (Sx.bound_flips st > flips0);
-  check_float "x3 flipped to upper" 1. warm.Sx.x.(2);
+  check_float "x3 at upper" 1. warm.Sx.x.(2);
   (* the warm answer matches a fresh solve on the tightened model *)
   let lp2 = Lp.copy lp in
   Lp.set_bounds lp2 (Lp.var_of_int lp2 0) ~lb:0. ~ub:0.;
@@ -374,11 +372,10 @@ let test_entering_column_flip () =
   Alcotest.(check bool) "flips counted" true (Sx.bound_flips st >= 2);
   Alcotest.(check int) "no pivot needed" 0 (Sx.total_pivots st)
 
-let test_bfrt_exhaustion_is_infeasible () =
+let test_dual_dead_end_is_infeasible () =
   (* After fixing every nonbasic column, the violated row cannot be
-     repaired: the dual ratio test runs dry and must report
-     infeasibility with a usable Farkas certificate — without applying
-     any of the flips it considered. *)
+     repaired: the dual ratio test finds no entering column and must
+     report infeasibility with a usable Farkas certificate. *)
   let lp = Lp.create () in
   let x1 = Lp.add_var lp ~ub:1. Lp.Continuous in
   let x2 = Lp.add_var lp ~ub:1. Lp.Continuous in
@@ -395,7 +392,7 @@ let test_bfrt_exhaustion_is_infeasible () =
   Alcotest.(check bool) "farkas present" true (warm.Sx.farkas <> None)
 
 (* Binary-box random LPs: every structural variable is 0-1, which makes
-   the bound-flipping paths hot both cold and warm. *)
+   the primal bound flips and the degenerate dual ratio ties hot. *)
 let make_rand_01 seed ~n ~m =
   let rng = Taskgraph.Prng.create (seed * 2 + 1) in
   let lp = Lp.create () in
@@ -447,7 +444,8 @@ let prop_pricing_rules_agree =
 
 let prop_devex_01_warm_parity =
   QCheck.Test.make
-    ~name:"devex bound flips: warm and fresh agree on 0-1 models, certified"
+    ~name:"devex warm dual: warm and fresh agree on 0-1 models, certified, \
+           no stalls"
     ~count:80
     QCheck.(int_bound 100_000)
     (fun seed ->
@@ -466,6 +464,7 @@ let prop_devex_01_warm_parity =
         done;
         let warm = Sx.dual_reopt st in
         if not (certify_ok st warm) then ok := false;
+        if (Sx.stats st).Sx.dual_stalls <> 0 then ok := false;
         (* the warm result matches a cold solve of the same box *)
         let lp2 = Lp.copy lp in
         for j = 0 to 7 do
@@ -591,12 +590,15 @@ let () =
         ] );
       ( "bound-flips",
         [
-          Alcotest.test_case "dual BFRT flips to the optimum" `Quick
-            test_bfrt_flips_to_optimum;
           Alcotest.test_case "entering column flips without pivot" `Quick
             test_entering_column_flip;
-          Alcotest.test_case "BFRT exhaustion certifies infeasibility" `Quick
-            test_bfrt_exhaustion_is_infeasible;
+        ] );
+      ( "dual-reopt",
+        [
+          Alcotest.test_case "warm dual repairs to the optimum" `Quick
+            test_dual_repairs_to_optimum;
+          Alcotest.test_case "dead end certifies infeasibility" `Quick
+            test_dual_dead_end_is_infeasible;
         ] );
       ( "basis-shipping",
         [
